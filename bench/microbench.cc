@@ -329,17 +329,14 @@ bool RunThreadScalingStudy(Json* doc) {
   return identical;
 }
 
-// Work-stealing vs the static round-robin schedule on a skewed batch.
-// The batch mimics a BR unit search: most candidates are light, a few are
-// an order of magnitude heavier (the whole-graph repack candidates), and
-// the round-robin deal concentrates the heavy chunks on two deques — the
-// exact shape that strands cores under the pre-stealing fork-join
-// schedule. Each task prices the profiled BR plan through a private
-// what-if engine `reps` times, so the kernel is the optimizer's real inner
-// loop, not a spin. Reports wall time, steal counts, and idle time
-// (threads x wall - summed busy) for stealing on and off at 1/2/4/8
-// threads; the gate requires stealing to beat the static schedule at 8
-// threads.
+// Work stealing on a skewed batch. The batch mimics a BR unit search: most
+// candidates are light, a few are an order of magnitude heavier (the
+// whole-graph repack candidates), and the round-robin deal concentrates
+// the heavy chunks on two deques — the shape stealing exists for. Each
+// task prices the profiled BR plan through a private what-if engine
+// `reps` times, so the kernel is the optimizer's real inner loop, not a
+// spin. Reports wall time, steal counts, and idle time (threads x wall -
+// summed busy) at 1/2/4/8 threads; a record, not a gate.
 bool RunSkewedBatchStudy(Json* doc) {
   using namespace stubby::bench;
   std::printf("\nSkewed-batch study (BR-style mixed candidate sizes)\n");
@@ -352,63 +349,39 @@ bool RunSkewedBatchStudy(Json* doc) {
   std::vector<uint64_t> reps(kTasks, 1);
   for (size_t i = 0; i < kTasks; i += 12) reps[i] = kHeavyReps;
 
-  bool stealing_wins = true;
-  double static_wall_8 = 0.0;
-  double steal_wall_8 = 0.0;
   Json points = Json::Array();
-  for (bool stealing : {false, true}) {
-    for (int t : {1, 2, 4, 8}) {
-      ThreadPool::Options pool_opts;
-      pool_opts.work_stealing = stealing;
-      ThreadPool pool(t, pool_opts);
-      double wall = 0.0;
-      constexpr int kBenchReps = 3;
-      for (int rep = 0; rep < kBenchReps; ++rep) {
-        pool.ResetStats();
-        const auto t0 = std::chrono::steady_clock::now();
-        pool.ParallelFor(kTasks, [&](size_t i) {
-          WhatIfEngine whatif(plan.cluster());
-          for (uint64_t r = 0; r < reps[i]; ++r) {
-            CostEstimate est = whatif.Cost(plan);
-            benchmark::DoNotOptimize(est.cost);
-          }
-        });
-        const double w = SecondsSince(t0);
-        if (rep == 0 || w < wall) wall = w;
-      }
-      const ThreadPool::Stats stats = pool.stats();  // last rep's counters
-      const double busy_sec = static_cast<double>(stats.busy_usec) / 1e6 /
-                              kBenchReps;  // rough per-rep average
-      const double idle_sec = std::max(0.0, wall * t - busy_sec);
-      const uint64_t steals = stats.steals / kBenchReps;
-      std::printf(
-          "  stealing=%-3s threads=%d  wall %.3fs  steals %llu  idle %.3fs\n",
-          stealing ? "on" : "off", t, wall, (unsigned long long)steals,
-          idle_sec);
-      if (t == 8 && !stealing) static_wall_8 = wall;
-      if (t == 8 && stealing) steal_wall_8 = wall;
-
-      Json point = Json::Object();
-      point["work_stealing"] = stealing;
-      point["threads"] = static_cast<uint64_t>(t);
-      point["wall_sec"] = wall;
-      point["steals"] = steals;
-      point["busy_sec"] = busy_sec;
-      point["idle_sec"] = idle_sec;
-      points.Append(std::move(point));
+  for (int t : {1, 2, 4, 8}) {
+    ThreadPool pool(t);
+    double wall = 0.0;
+    constexpr int kBenchReps = 3;
+    for (int rep = 0; rep < kBenchReps; ++rep) {
+      pool.ResetStats();
+      const auto t0 = std::chrono::steady_clock::now();
+      pool.ParallelFor(kTasks, [&](size_t i) {
+        WhatIfEngine whatif(plan.cluster());
+        for (uint64_t r = 0; r < reps[i]; ++r) {
+          CostEstimate est = whatif.Cost(plan);
+          benchmark::DoNotOptimize(est.cost);
+        }
+      });
+      const double w = SecondsSince(t0);
+      if (rep == 0 || w < wall) wall = w;
     }
+    const ThreadPool::Stats stats = pool.stats();  // last rep's counters
+    const double busy_sec = static_cast<double>(stats.busy_usec) / 1e6;
+    const double idle_sec = std::max(0.0, wall * t - busy_sec);
+    const uint64_t steals = stats.steals;
+    std::printf("  threads=%d  wall %.3fs  steals %llu  idle %.3fs\n", t,
+                wall, (unsigned long long)steals, idle_sec);
+
+    Json point = Json::Object();
+    point["threads"] = static_cast<uint64_t>(t);
+    point["wall_sec"] = wall;
+    point["steals"] = steals;
+    point["busy_sec"] = busy_sec;
+    point["idle_sec"] = idle_sec;
+    points.Append(std::move(point));
   }
-  const double speedup =
-      steal_wall_8 > 0.0 ? static_wall_8 / steal_wall_8 : 1.0;
-  std::printf("  8-thread skewed batch: static %.3fs -> stealing %.3fs "
-              "(%.2fx)\n",
-              static_wall_8, steal_wall_8, speedup);
-  // Single-core hosts cannot demonstrate a scheduling win; record only.
-  if (ThreadPool::HardwareThreads() >= 2) {
-    stealing_wins = steal_wall_8 < static_wall_8;
-  }
-  std::printf("  stealing beats static at 8 threads: %s\n",
-              stealing_wins ? "YES" : "NO");
 
   Json study = Json::Object();
   study["workload"] = "BR";
@@ -416,13 +389,9 @@ bool RunSkewedBatchStudy(Json* doc) {
   study["heavy_reps"] = kHeavyReps;
   study["hardware_threads"] =
       static_cast<uint64_t>(ThreadPool::HardwareThreads());
-  study["stealing_beats_static_at_8"] = stealing_wins;
-  study["static_wall_8_sec"] = static_wall_8;
-  study["stealing_wall_8_sec"] = steal_wall_8;
-  study["speedup_at_8"] = speedup;
   study["points"] = std::move(points);
   (*doc)["skewed_batch"] = std::move(study);
-  return stealing_wins;
+  return true;
 }
 
 // Cross-candidate probe memoization in the reuse-aware search. Warms a

@@ -472,7 +472,14 @@ std::string Plan::ToString() const {
   for (const auto& jid : ids) {
     const JobVertex& job = jobs_.at(jid);
     os << "  " << jid << (job.map_only() ? " [map-only]" : "") << " cfg{"
-       << job.config.ToString() << "}\n";
+       << job.config.ToString() << "}";
+    // Range split points and a pinned count override the configured
+    // reduce-task count; show what actually runs.
+    const int reduce_tasks = job.EffectiveReduceTasks();
+    if (!job.map_only() && reduce_tasks != job.config.num_reduce_tasks) {
+      os << " effective_reduce_tasks=" << reduce_tasks;
+    }
+    os << "\n";
     for (const Branch& b : job.branches) {
       os << "    branch " << b.tag << ": ";
       bool first = true;

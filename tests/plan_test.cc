@@ -129,6 +129,51 @@ TEST(PlanTest, EffectiveReduceTasksHonorsConditionsAndRange) {
   EXPECT_EQ((*job)->EffectiveReduceTasks(), 3);
 }
 
+/// The ToString line describing job `jid` (its "  <jid> ... cfg{...}" row).
+std::string JobLine(const Plan& plan, const std::string& jid) {
+  const std::string text = plan.ToString();
+  const size_t at = text.find("\n  " + jid + " ");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + 1;
+  return text.substr(begin, text.find('\n', begin) - begin);
+}
+
+TEST(PlanTest, ToStringShowsEffectiveReduceTasksOfRangePartitionedJob) {
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  Plan plan = f->plan();
+  auto job = plan.GetMutableJob("Jp");
+  ASSERT_TRUE(job.ok());
+  (*job)->config.num_reduce_tasks = 1;
+  EXPECT_EQ(JobLine(plan, "Jp").find("effective_reduce_tasks"),
+            std::string::npos)
+      << JobLine(plan, "Jp");
+  // Split points fix the count at splits + 1, whatever the config says.
+  (*job)->branches[0].partition.type = PartitionType::kRange;
+  (*job)->branches[0].partition.split_points = {Row{int64_t{1}},
+                                                Row{int64_t{2}}};
+  const std::string line = JobLine(plan, "Jp");
+  EXPECT_NE(line.find("reduce_tasks=1,"), std::string::npos) << line;
+  EXPECT_NE(line.find("effective_reduce_tasks=3"), std::string::npos) << line;
+}
+
+TEST(PlanTest, ToStringShowsPinnedReduceTaskCount) {
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  Plan plan = f->plan();
+  auto job = plan.GetMutableJob("Jp");
+  ASSERT_TRUE(job.ok());
+  (*job)->config.num_reduce_tasks = 12;
+  (*job)->conditions.num_reduce_fixed = 5;
+  std::string line = JobLine(plan, "Jp");
+  EXPECT_NE(line.find("reduce_tasks=12,"), std::string::npos) << line;
+  EXPECT_NE(line.find("effective_reduce_tasks=5"), std::string::npos) << line;
+  // A config that already matches the pinned count prints no override.
+  (*job)->config.num_reduce_tasks = 5;
+  line = JobLine(plan, "Jp");
+  EXPECT_EQ(line.find("effective_reduce_tasks"), std::string::npos) << line;
+}
+
 TEST(SubgraphTest, ClassifiesChainAndSiblings) {
   auto chain = MakeChain();
   ASSERT_TRUE(chain.ok());

@@ -355,28 +355,6 @@ TEST_F(ThreadCountInvariance, ReuseAwareSearchIsBitIdentical) {
     ExpectSameCounters(report->costing, ref->costing);
     EXPECT_EQ(store->Serialize(), *ref_store);
   }
-
-  // A steal-free schedule (static round-robin) must produce the same bits:
-  // stealing only permutes execution order.
-  {
-    SCOPED_TRACE("threads=8 stealing=off");
-    auto store = ResultStore::Deserialize(warm_bytes);
-    ASSERT_TRUE(store.ok());
-    ThreadPool::Options pool_opts;
-    pool_opts.work_stealing = false;
-    ThreadPool pool(8, pool_opts);
-    StubbyOptions opts = warmup_opts;
-    opts.reuse_store = &*store;
-    opts.reuse_dfs = &w->dfs;
-    opts.pool = &pool;
-    auto report = StubbyOptimizer(opts).Optimize(w->plan);
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(PlanSignature(report->plan), PlanSignature(ref->plan));
-    EXPECT_EQ(report->estimated_cost, ref->estimated_cost);
-    EXPECT_EQ(report->reuse.ToString(), ref->reuse.ToString());
-    ExpectSameCounters(report->costing, ref->costing);
-    EXPECT_EQ(store->Serialize(), *ref_store);
-  }
 }
 
 TEST_F(ThreadCountInvariance, ProbeCacheIsTransparent) {

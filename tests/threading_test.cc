@@ -9,7 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -68,20 +71,122 @@ TEST(ThreadPoolTest, ParallelMapPreservesSubmissionOrder) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForExecutesInlineWithoutDeadlock) {
+TEST(ThreadPoolTest, NestedParallelForCompletesOnASaturatedPool) {
+  // 16 outer tasks keep every participant busy at each width, each forks
+  // 64 inner tasks, and every 8th inner task forks a third level. Every
+  // (outer, inner) index must run exactly once into its own slot, and the
+  // ordered sum must reproduce the serial bits whoever ran what.
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 64;
+  constexpr size_t kLeaf = 8;
+  auto value = [](size_t slot, size_t leaf) {
+    return std::sin(static_cast<double>(slot)) * 1e-3 +
+           1.0 / (static_cast<double>(slot + leaf) + 1.0);
+  };
+  auto run = [&](ThreadPool* pool, std::vector<std::atomic<int>>* hits) {
+    std::vector<double> slots(kOuter * kInner);
+    std::vector<double> leaves(kOuter * kInner * kLeaf);
+    RunTasks(pool, kOuter, [&](size_t o) {
+      if (pool != nullptr) {
+        EXPECT_TRUE(ThreadPool::InParallelRegion());
+      }
+      RunTasks(pool, kInner, [&](size_t i) {
+        const size_t slot = o * kInner + i;
+        if (hits != nullptr) (*hits)[slot].fetch_add(1);
+        double v = value(slot, 0);
+        if (i % 8 == 0) {
+          RunTasks(pool, kLeaf, [&](size_t l) {
+            leaves[slot * kLeaf + l] = value(slot, l + 1);
+          });
+          for (size_t l = 0; l < kLeaf; ++l) v += leaves[slot * kLeaf + l];
+        }
+        slots[slot] = v;
+      });
+    });
+    double sum = 0.0;
+    for (double v : slots) sum += v;
+    return sum;
+  };
+  const double serial = run(nullptr, nullptr);
+  for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    EXPECT_EQ(run(&pool, &hits), serial) << "threads=" << threads;
+    for (size_t s = 0; s < hits.size(); ++s) {
+      ASSERT_EQ(hits[s].load(), 1) << "threads=" << threads << " slot=" << s;
+    }
+    // One top-level batch, 16 inner and 16 * 8 leaf batches.
+    EXPECT_EQ(pool.stats().batches, 1u + kOuter + kOuter * kInner / 8);
+    EXPECT_FALSE(ThreadPool::InParallelRegion());
+  }
+}
+
+TEST(ThreadPoolTest, NestedBatchOfALongTaskRunsOnIdleThreads) {
+  // Outer task 0 waits until its seven siblings have finished, so the
+  // workers that ran them are idle when it forks its inner batch. Each
+  // inner task then waits until a second thread has run one of them: only
+  // a batch shared with the idle workers gets past that without the
+  // deadline.
   ThreadPool pool(4);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
-  std::vector<int> outer_sums(16, 0);
-  pool.ParallelFor(16, [&](size_t i) {
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
-    // The nested call must run inline on this thread — a fixed pool whose
-    // workers all block on inner batches would deadlock here.
-    int sum = 0;
-    pool.ParallelFor(64, [&](size_t j) { sum += static_cast<int>(j); });
-    outer_sums[i] = sum;
+  constexpr size_t kOuter = 8;
+  std::atomic<size_t> siblings_done{0};
+  std::atomic<bool> timed_out{false};
+  std::mutex mu;
+  std::set<std::thread::id> inner_threads;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto wait_until = [&](const std::function<bool()>& ready) {
+    while (!ready()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+  pool.ParallelFor(kOuter, [&](size_t o) {
+    if (o != 0) {
+      siblings_done.fetch_add(1);
+      return;
+    }
+    wait_until([&] { return siblings_done.load() == kOuter - 1; });
+    pool.ParallelFor(64, [&](size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        inner_threads.insert(std::this_thread::get_id());
+      }
+      wait_until([&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return inner_threads.size() >= 2;
+      });
+    });
   });
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
-  for (int s : outer_sums) EXPECT_EQ(s, 64 * 63 / 2);
+  EXPECT_FALSE(timed_out.load()) << "the inner batch ran on one thread";
+  EXPECT_GE(inner_threads.size(), 2u);
+}
+
+TEST(ThreadPoolTest, CrossPoolNestedParallelForRunsInline) {
+  // A task of pool A calling pool B's ParallelFor runs the loop inline, in
+  // index order, on its own thread; pool B publishes no batch.
+  ThreadPool a(4);
+  ThreadPool b(4);
+  std::vector<int> inline_ok(8, 0);
+  a.ParallelFor(8, [&](size_t o) {
+    const std::thread::id me = std::this_thread::get_id();
+    std::vector<size_t> order;
+    bool same_thread = true;
+    b.ParallelFor(16, [&](size_t i) {
+      EXPECT_TRUE(ThreadPool::InParallelRegion());
+      if (std::this_thread::get_id() != me) same_thread = false;
+      order.push_back(i);
+    });
+    std::vector<size_t> expected(16);
+    std::iota(expected.begin(), expected.end(), size_t{0});
+    inline_ok[o] = same_thread && order == expected ? 1 : 0;
+  });
+  for (int ok : inline_ok) EXPECT_EQ(ok, 1);
+  EXPECT_EQ(b.stats().batches, 0u);
+  EXPECT_EQ(b.stats().tasks, 0u);
 }
 
 TEST(ThreadPoolTest, ConcurrentTopLevelCallsSerialize) {
@@ -103,35 +208,29 @@ TEST(ThreadPoolTest, SkewedTaskDurationsStillRunEveryIndexOnce) {
   // than the rest, and the heavy indices land in the same deque under the
   // round-robin deal. Correctness must not depend on who ends up running
   // what.
-  for (bool stealing : {true, false}) {
-    ThreadPool::Options opts;
-    opts.work_stealing = stealing;
-    ThreadPool pool(8, opts);
-    constexpr size_t kN = 512;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.ParallelFor(kN, [&](size_t i) {
-      // Indices 0 and 1 spin ~100x longer than the rest.
-      volatile uint64_t sink = 0;
-      const uint64_t spins = (i < 2) ? 200000 : 2000;
-      for (uint64_t s = 0; s < spins; ++s) sink += s;
-      hits[i].fetch_add(1);
-    });
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "stealing=" << stealing << " i=" << i;
-    }
+  ThreadPool pool(8);
+  constexpr size_t kN = 512;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.ParallelFor(kN, [&](size_t i) {
+    // Indices 0 and 1 spin ~100x longer than the rest.
+    volatile uint64_t sink = 0;
+    const uint64_t spins = (i < 2) ? 200000 : 2000;
+    for (uint64_t s = 0; s < spins; ++s) sink += s;
+    hits[i].fetch_add(1);
+  });
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
   }
 }
 
 TEST(ThreadPoolTest, SkewedDurationsAreBitIdenticalAcrossSchedules) {
-  // The ordered-merge sum must not depend on thread count, on stealing
-  // being on or off, or on which chunks got stolen — duration skew makes
-  // the steal schedule maximally timing-dependent, so run it both ways at
-  // several widths and demand the serial bits every time.
+  // The ordered-merge sum must not depend on thread count or on which
+  // chunks got stolen — duration skew makes the steal schedule maximally
+  // timing-dependent, so run it at several widths and demand the serial
+  // bits every time.
   constexpr size_t kN = 300;
-  auto run = [&](int threads, bool stealing) {
-    ThreadPool::Options opts;
-    opts.work_stealing = stealing;
-    ThreadPool pool(threads, opts);
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
     std::vector<double> slots(kN);
     pool.ParallelFor(kN, [&](size_t i) {
       volatile uint64_t sink = 0;
@@ -143,12 +242,9 @@ TEST(ThreadPoolTest, SkewedDurationsAreBitIdenticalAcrossSchedules) {
     for (double v : slots) sum += v;
     return sum;
   };
-  const double serial = run(1, false);
+  const double serial = run(1);
   for (int threads : {1, 2, 4, 8}) {
-    for (bool stealing : {true, false}) {
-      EXPECT_EQ(run(threads, stealing), serial)
-          << "threads=" << threads << " stealing=" << stealing;
-    }
+    EXPECT_EQ(run(threads), serial) << "threads=" << threads;
   }
 }
 
@@ -158,7 +254,6 @@ TEST(ThreadPoolTest, StragglerChunksAreStolen) {
   // only complete if the other participants steal them — this test both
   // proves the steal path runs and exercises batch completion by a thief.
   ThreadPool::Options opts;
-  opts.work_stealing = true;
   opts.chunks_per_thread = 8;
   ThreadPool pool(4, opts);
   pool.ResetStats();
@@ -212,20 +307,50 @@ TEST(ThreadPoolTest, StatsCountBatchesTasksAndChunks) {
   s = pool.stats();
   EXPECT_EQ(s.batches, 0u);
   EXPECT_EQ(s.tasks, 0u);
-}
 
-TEST(ThreadPoolTest, StealingOffNeverSteals) {
-  ThreadPool::Options opts;
-  opts.work_stealing = false;
-  ThreadPool pool(8, opts);
-  for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(333, [](size_t i) {
+  // A nested run. Tasks 1-3 hold the other participants until task 0's
+  // inner batch has finished, so task 0's thread must claim every inner
+  // chunk itself, stealing the ones dealt to the other deques: nested
+  // batches, tasks and steals count like top-level ones.
+  std::atomic<bool> inner_done{false};
+  std::atomic<bool> timed_out{false};
+  pool.ParallelFor(4, [&](size_t i) {
+    if (i == 0) {
+      pool.ParallelFor(kN, [](size_t) {});
+      inner_done.store(true);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!inner_done.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_FALSE(timed_out.load());
+  s = pool.stats();
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.tasks, 4 + kN);
+  EXPECT_GE(s.chunks, 4 + 4 * 4u);
+  EXPECT_GE(s.steals, 1u);
+
+  // Busy time counts each thread once: every thread here forks and drains
+  // an inner batch inside its outer task, and counting that drain on top of
+  // the enclosing one would report about twice threads x wall.
+  pool.ResetStats();
+  pool.ParallelFor(4, [&](size_t) {
+    pool.ParallelFor(64, [](size_t) {
       volatile uint64_t sink = 0;
-      for (uint64_t s = 0; s < (i % 5) * 1000; ++s) sink += s;
+      for (uint64_t k = 0; k < 200000; ++k) sink = sink + k;
     });
-  }
-  EXPECT_EQ(pool.stats().steals, 0u);
-  EXPECT_EQ(pool.stats().tasks, 20u * 333u);
+  });
+  s = pool.stats();
+  EXPECT_EQ(s.batches, 5u);
+  EXPECT_GT(s.busy_usec, 0u);
+  EXPECT_LE(s.busy_usec, s.wall_usec * 4 * 3 / 2);
 }
 
 TEST(RunTasksTest, NullPoolRunsInlineInIndexOrder) {
