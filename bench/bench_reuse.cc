@@ -167,9 +167,6 @@ Json ReuseJson(const ReuseStats& s) {
   j["search_probes"] = s.search_probes;
   j["search_priced"] = s.search_priced;
   j["search_won"] = s.search_won;
-  j["probe_cache_hits"] = s.probe_cache_hits;
-  j["probe_cache_misses"] = s.probe_cache_misses;
-  j["signature_keys_computed"] = s.signature_keys_computed;
   return j;
 }
 

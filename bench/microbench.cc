@@ -22,8 +22,6 @@
 #include "optimizer/transform.h"
 #include "profiler/profiler.h"
 #include "optimizer/stubby.h"
-#include "reuse/result_store.h"
-#include "reuse/session.h"
 #include "workloads/builder.h"
 #include "workloads/registry.h"
 #include "workloads/udfs.h"
@@ -392,132 +390,6 @@ bool RunSkewedBatchStudy(Json* doc) {
   study["points"] = std::move(points);
   (*doc)["skewed_batch"] = std::move(study);
   return true;
-}
-
-// Cross-candidate probe memoization in the reuse-aware search. Warms a
-// result store with one BR session, then re-optimizes against the warm
-// store with the signature memo on and off. The memo is pure wall-time:
-// the chosen plan and cost bits must be identical either way. The gate
-// additionally requires hits > 0 and misses (i.e. actual signature
-// computations) strictly below the number of candidates priced — each
-// distinct subplan signature is resolved once, not once per candidate.
-bool RunProbeMemoStudy(Json* doc) {
-  using namespace stubby::bench;
-  std::printf("\nProbe-memo study (reuse-aware search, warm stores)\n");
-
-  struct Run {
-    std::string sig;
-    double cost = 0.0;
-    ReuseStats reuse;
-    uint64_t candidates = 0;
-    double wall = 0.0;
-  };
-
-  bool transparent = true;
-  uint64_t total_candidates = 0;
-  uint64_t total_hits = 0;
-  uint64_t total_computed_on = 0;
-  uint64_t total_computed_off = 0;
-  double total_on = 0.0;
-  double total_off = 0.0;
-  Json workloads = Json::Array();
-  for (const std::string& abbr : AllWorkloadAbbrs()) {
-    auto pw = Prepare(abbr, 3000);
-    STUBBY_CHECK_OK(pw.status());
-
-    ResultStore warm;
-    ReuseSession warmup(&warm);
-    StubbyOptions base_opts;
-    base_opts.reuse_whole_workflow = false;
-    auto first = warmup.Run(pw->workload.plan, pw->workload.dfs, base_opts);
-    STUBBY_CHECK_OK(first.status());
-    const std::string warm_bytes = warm.Serialize();
-
-    auto run = [&](bool memo) {
-      auto store = ResultStore::Deserialize(warm_bytes);
-      STUBBY_CHECK_OK(store.status());
-      ThreadPool pool(8);
-      StubbyOptions opts = base_opts;
-      opts.reuse_store = &*store;
-      opts.reuse_dfs = &pw->workload.dfs;
-      opts.pool = &pool;
-      opts.reuse_probe_cache = memo;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto report = StubbyOptimizer(opts).Optimize(pw->workload.plan);
-      const double wall = SecondsSince(t0);
-      STUBBY_CHECK_OK(report.status());
-      return Run{PlanSignature(report->plan), report->estimated_cost,
-                 report->reuse,
-                 static_cast<uint64_t>(report->subplans_enumerated), wall};
-    };
-    const Run with = run(true);
-    const Run without = run(false);
-
-    if (with.sig != without.sig || with.cost != without.cost) {
-      transparent = false;
-    }
-    total_candidates += with.candidates;
-    total_hits += with.reuse.probe_cache_hits;
-    total_computed_on += with.reuse.signature_keys_computed;
-    total_computed_off += without.reuse.signature_keys_computed;
-    total_on += with.wall;
-    total_off += without.wall;
-    std::printf("  %-4s candidates %5llu  memo_hits %5llu  sig_keys "
-                "%5llu -> %5llu  wall %.2fs -> %.2fs\n",
-                abbr.c_str(), (unsigned long long)with.candidates,
-                (unsigned long long)with.reuse.probe_cache_hits,
-                (unsigned long long)without.reuse.signature_keys_computed,
-                (unsigned long long)with.reuse.signature_keys_computed,
-                without.wall, with.wall);
-
-    Json row = Json::Object();
-    row["workload"] = abbr;
-    row["candidates_priced"] = with.candidates;
-    row["probe_cache_hits"] = with.reuse.probe_cache_hits;
-    row["probe_cache_misses"] = with.reuse.probe_cache_misses;
-    row["signature_keys_computed_memo_on"] = with.reuse.signature_keys_computed;
-    row["signature_keys_computed_memo_off"] =
-        without.reuse.signature_keys_computed;
-    row["memo_on_wall_sec"] = with.wall;
-    row["memo_off_wall_sec"] = without.wall;
-    workloads.Append(std::move(row));
-  }
-
-  // Every candidate priced by the reuse-aware search is probed, and
-  // without the memo each probe recomputes JobReuseKey digests for the
-  // candidate's whole upstream closure. `signature_keys_computed` counts
-  // the digests actually computed on the probe path in both runs — the
-  // memo-off number is the measured baseline, not an inference — and the
-  // gate requires the memo to (a) hit and (b) strictly reduce it: digests
-  // collapse to once per distinct subplan signature instead of once per
-  // RRS-configured candidate.
-  const bool memo_pays =
-      total_hits > 0 && total_computed_on < total_computed_off;
-  std::printf(
-      "  total: candidates %llu  memo_hits %llu  sig_keys %llu -> %llu\n",
-      (unsigned long long)total_candidates, (unsigned long long)total_hits,
-      (unsigned long long)total_computed_off,
-      (unsigned long long)total_computed_on);
-  std::printf(
-      "  identical plan+cost: %s   hits>0 and fewer computations: %s\n",
-      transparent ? "YES" : "NO", memo_pays ? "YES" : "NO");
-
-  Json study = Json::Object();
-  study["identical_results"] = transparent;
-  study["candidates_priced"] = total_candidates;
-  study["probe_cache_hits"] = total_hits;
-  study["signature_keys_computed_memo_on"] = total_computed_on;
-  study["signature_keys_computed_memo_off"] = total_computed_off;
-  study["signature_computations_saved"] =
-      total_computed_off > total_computed_on
-          ? total_computed_off - total_computed_on
-          : 0;
-  study["memo_on_wall_sec"] = total_on;
-  study["memo_off_wall_sec"] = total_off;
-  study["speedup"] = total_on > 0.0 ? total_off / total_on : 1.0;
-  study["workloads"] = std::move(workloads);
-  (*doc)["probe_memo"] = std::move(study);
-  return transparent && memo_pays;
 }
 
 // Columnar vs record-at-a-time execution of the executor's vectorizable
@@ -983,7 +855,6 @@ int main(int argc, char** argv) {
   if (StudyEnabled("cost_cache")) ok = RunCostCacheStudy(&doc) && ok;
   if (StudyEnabled("thread_scaling")) ok = RunThreadScalingStudy(&doc) && ok;
   if (StudyEnabled("skewed_batch")) ok = RunSkewedBatchStudy(&doc) && ok;
-  if (StudyEnabled("probe_memo")) ok = RunProbeMemoStudy(&doc) && ok;
   if (StudyEnabled("vectorized_exec")) ok = RunVectorizedExecStudy(&doc) && ok;
   if (StudyEnabled("bloom_probe")) ok = RunBloomProbeStudy(&doc) && ok;
   stubby::bench::WriteBenchJson("BENCH_MICRO.json", doc);

@@ -228,10 +228,6 @@ class CostCache final : public CostStore {
     return plans_.Peek(key);
   }
 
-  /// Backwards-compatible alias (entries were a nested type before the
-  /// store interface was factored out).
-  using JobEntry = CostJobEntry;
-
   const CostJobEntry* FindJob(const CostKey& key) override {
     return jobs_.Find(key);
   }

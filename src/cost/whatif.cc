@@ -548,7 +548,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
       if (inputs_known) {
         key = digest.value();
         have_key = true;
-        if (const CostCache::JobEntry* entry = cache_->FindJob(key)) {
+        if (const CostJobEntry* entry = cache_->FindJob(key)) {
           ++replayed;
           if (stats_ != nullptr) ++stats_->job_cache_hits;
           for (const auto& [id, p] : entry->outputs) predicted[id] = p;
@@ -575,7 +575,7 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
     sj.deps = plan.UpstreamJobs(jid);
     sj.times = model_.TaskTimes(*df_or, job->config);
     if (have_key) {
-      CostCache::JobEntry entry;
+      CostJobEntry entry;
       entry.dataflow = *df_or;
       entry.times = sj.times;
       for (const std::string& out : job->OutputDatasets()) {

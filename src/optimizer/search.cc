@@ -11,7 +11,6 @@
 #include "common/threading.h"
 #include "cost/cost_cache.h"
 #include "optimizer/configuration.h"
-#include "reuse/probe_cache.h"
 #include "reuse/rewriter.h"
 
 namespace stubby {
@@ -136,33 +135,6 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
   };
   std::vector<ReuseOutcome> reuse_outcomes(n);
   ReuseRewriter rewriter(reuse_.store, reuse_.dfs);
-  // Signature memo: pre-seed the shared (frozen-for-the-batch) memo with
-  // the unit base plan's lineage before the candidate tasks run. Candidates
-  // only perturb unit jobs, and tasks of one batch never observe each
-  // other's overlay inserts — so cross-candidate collapse of the non-unit
-  // jobs' JobReuseKey digests requires exactly this serial warm-up. The
-  // pre-seed is restricted to the upstream closure of the unit scope (the
-  // only keys a scoped probe can observe) and its hit/miss counters merge
-  // into `search_totals` first, matching serial execution order.
-  ProbeStore* probe_cache = reuse_.active() ? reuse_.probe_cache : nullptr;
-  ReuseStats preseed;
-  if (probe_cache != nullptr) {
-    std::set<std::string> base_scope(original_jobs.begin(),
-                                     original_jobs.end());
-    auto closure = UpstreamJobClosure(plan, base_scope);
-    if (closure.ok()) {
-      LineageMemo accel;
-      accel.memo = probe_cache;
-      accel.restrict_to = &*closure;
-      if (ComputeLineage(plan, *reuse_.dfs, reuse_.seeds, &accel).ok()) {
-        preseed.probe_cache_hits = accel.hits;
-        preseed.probe_cache_misses = accel.misses;
-        preseed.signature_keys_computed = accel.computed;
-      }
-    }
-  }
-  std::vector<std::unique_ptr<ProbeCacheOverlay>> probe_overlays(n);
-  std::vector<std::map<std::string, CostDigest>> content_digests(n);
   RunTasks(pool_, n, [&](size_t i) {
     WhatIfEngine engine(whatif_->model().cluster());
     if (shared_cache != nullptr) {
@@ -170,29 +142,17 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
       engine.set_cache(overlays[i].get());
     }
     if (shared_stats != nullptr) engine.set_instrumentation(&deltas[i]);
-    configured[i] = OptimizeConfigurations(
-        &engine, subplans[i].plan, scopes[i],
-        probe_cache != nullptr ? &content_digests[i] : nullptr);
+    configured[i] =
+        OptimizeConfigurations(&engine, subplans[i].plan, scopes[i]);
     if (!configured[i].ok() || !reuse_.active()) return;
 
-    RewriteProbe rewrite_probe;
-    if (probe_cache != nullptr) {
-      probe_overlays[i] = std::make_unique<ProbeCacheOverlay>(probe_cache);
-      rewrite_probe.memo = probe_overlays[i].get();
-      rewrite_probe.content_digests = &content_digests[i];
-    }
-    auto probe = rewriter.PlanForScope(configured[i]->plan, &scopes[i],
-                                       reuse_.seeds, &rewrite_probe);
+    auto probe =
+        rewriter.PlanForScope(configured[i]->plan, &scopes[i], reuse_.seeds);
     if (!probe.ok()) {
       configured[i] = probe.status();
       return;
     }
     reuse_outcomes[i].probe.search_probes += probe->stats.lookups;
-    reuse_outcomes[i].probe.probe_cache_hits += probe->stats.probe_cache_hits;
-    reuse_outcomes[i].probe.probe_cache_misses +=
-        probe->stats.probe_cache_misses;
-    reuse_outcomes[i].probe.signature_keys_computed +=
-        probe->stats.signature_keys_computed;
     if (!probe->changed) return;
     ++reuse_outcomes[i].probe.search_priced;
     if (shared_stats != nullptr) ++deltas[i].reuse_priced_candidates;
@@ -220,13 +180,9 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
     }
   });
   Status first_error = Status::OK();
-  if (search_totals != nullptr) search_totals->Add(preseed);
   for (size_t i = 0; i < n; ++i) {
     if (shared_cache != nullptr) overlays[i]->MergeInto(shared_cache);
     if (shared_stats != nullptr) shared_stats->Add(deltas[i]);
-    if (probe_cache != nullptr && probe_overlays[i] != nullptr) {
-      probe_overlays[i]->MergeInto(probe_cache);
-    }
     if (search_totals != nullptr) search_totals->Add(reuse_outcomes[i].probe);
     if (first_error.ok() && !configured[i].ok()) {
       first_error = configured[i].status();
@@ -259,13 +215,11 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
 
 Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
     const WhatIfEngine* engine, const Plan& plan,
-    const std::vector<std::string>& unit_jobs,
-    std::map<std::string, CostDigest>* content_digests) const {
+    const std::vector<std::string>& unit_jobs) const {
   CostEstimate base = engine->Cost(plan);
   if (!options_.enable_configuration || base.fallback) {
     // Without profiles the configuration subspace cannot be costed; the
     // search degrades gracefully to the job-count model (Section 5).
-    if (content_digests != nullptr) *content_digests = JobContentDigests(plan);
     return ConfiguredPlan{plan, base.cost, base.fallback};
   }
 
@@ -285,10 +239,7 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
     spaces.push_back(JobSpace{jid, std::move(space), dims});
     dims += spaces.back().space.size();
   }
-  if (dims == 0) {
-    if (content_digests != nullptr) *content_digests = JobContentDigests(plan);
-    return ConfiguredPlan{plan, base.cost, base.fallback};
-  }
+  if (dims == 0) return ConfiguredPlan{plan, base.cost, base.fallback};
 
   auto apply_point_to = [&](Plan* candidate,
                             const std::vector<double>& point) -> Status {
@@ -395,29 +346,10 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   auto [best_point, best_value] =
       rrs.MinimizeBatches(dims, batch_eval, {current_seed, thumb_seed});
   if (!std::isfinite(best_value) || best_value >= base.cost) {
-    if (content_digests != nullptr) {
-      *content_digests = incremental_digests ? std::move(digests)
-                                             : JobContentDigests(plan);
-    }
     return ConfiguredPlan{plan, base.cost, base.fallback};
   }
   Plan best_plan = plan;
   STUBBY_RETURN_NOT_OK(apply_point_to(&best_plan, best_point));
-  if (content_digests != nullptr) {
-    // The winning point only reconfigured the unit jobs: refresh those
-    // entries' configuration suffix (exactly what the block evaluator does
-    // per point) and hand the rest of the base-plan digests through.
-    if (!incremental_digests) digests = JobContentDigests(plan);
-    for (size_t i = 0; i < spaces.size(); ++i) {
-      auto jr = best_plan.GetJob(spaces[i].id);
-      if (!jr.ok()) continue;
-      CostDigest jd = incremental_digests ? structure[i]
-                                          : JobStructureDigest(**jr);
-      MixJobConfiguration(&jd, **jr);
-      digests[spaces[i].id] = jd;
-    }
-    *content_digests = std::move(digests);
-  }
   // base was costable (no fallback), and configuration changes never remove
   // the annotations that made it so.
   return ConfiguredPlan{std::move(best_plan), best_value, false};

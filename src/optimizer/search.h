@@ -21,7 +21,6 @@
 namespace stubby {
 
 class ThreadPool;
-class ProbeStore;  // reuse/probe_cache.h
 
 /// Store context for reuse-aware candidate pricing. When `store` and `dfs`
 /// are both set, the unit search matches every configured candidate
@@ -32,18 +31,10 @@ class ProbeStore;  // reuse/probe_cache.h
 /// lineage keys — base-input content keys plus the identities of vertices
 /// materialized by earlier units — so probes never re-digest base rows and
 /// chained rewrites across units resolve.
-///
-/// `probe_cache` (optional) is the Optimize-call-wide signature memo: the
-/// search pre-seeds it with each unit's base-plan lineage, gives every
-/// candidate task a private overlay over the frozen memo, and merges the
-/// overlays in candidate order — so JobReuseKey digests run once per
-/// distinct job signature instead of once per RRS-configured candidate,
-/// with plans, costs, and store probes bit-identical either way.
 struct ReuseSearchContext {
   ResultStore* store = nullptr;
   const Dfs* dfs = nullptr;
   const std::map<std::string, CostKey>* seeds = nullptr;
-  ProbeStore* probe_cache = nullptr;
 
   bool active() const { return store != nullptr && dfs != nullptr; }
 };
@@ -147,14 +138,10 @@ class UnitOptimizer {
   /// plan with the best configurations applied, its cost, and whether that
   /// cost came from the fallback model. `engine` is the candidate-private
   /// engine to cost through (its cache/instrumentation may themselves be a
-  /// task overlay and delta). `content_digests` (optional out) receives
-  /// JobContentDigest for every job of the *returned* plan — the digests
-  /// the costing pass already holds, handed to the reuse probe so its memo
-  /// keys need no second content walk.
+  /// task overlay and delta).
   Result<ConfiguredPlan> OptimizeConfigurations(
       const WhatIfEngine* engine, const Plan& plan,
-      const std::vector<std::string>& unit_jobs,
-      std::map<std::string, CostDigest>* content_digests = nullptr) const;
+      const std::vector<std::string>& unit_jobs) const;
 
   std::vector<std::shared_ptr<Transformation>> transforms_;
   const WhatIfEngine* whatif_;

@@ -10,7 +10,6 @@
 #include "optimizer/horizontal.h"
 #include "optimizer/partition_fn.h"
 #include "optimizer/vertical.h"
-#include "reuse/probe_cache.h"
 #include "reuse/rewriter.h"
 
 namespace stubby {
@@ -49,7 +48,6 @@ Result<Plan> StubbyOptimizer::RunPhase(
     reuse_ctx.store = options_.reuse_store;
     reuse_ctx.dfs = options_.reuse_dfs;
     reuse_ctx.seeds = &reuse_state->seeds;
-    reuse_ctx.probe_cache = reuse_state->probe_cache;
   }
   UnitOptimizer optimizer(group, &whatif, unit_options, pool, reuse_ctx);
 
@@ -70,10 +68,6 @@ Result<Plan> StubbyOptimizer::RunPhase(
       report->reuse.search_probes += result.reuse.search_probes;
       report->reuse.search_priced += result.reuse.search_priced;
       report->reuse.search_won += result.reuse.search_won;
-      report->reuse.probe_cache_hits += result.reuse.probe_cache_hits;
-      report->reuse.probe_cache_misses += result.reuse.probe_cache_misses;
-      report->reuse.signature_keys_computed +=
-          result.reuse.signature_keys_computed;
       if (result.reuse_won) {
         ++reuse_state->won_units;
         reuse_state->stats.whole_job_hits += result.reuse.whole_job_hits;
@@ -136,18 +130,12 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
   if (options_.cost_cache != nullptr) {
     whatif.set_cache(options_.cost_cache);
   } else if (options_.enable_cost_cache) {
-    cache.emplace(CostCache::Options{options_.cost_cache_plan_capacity,
-                                     options_.cost_cache_job_capacity});
+    cache.emplace(CostCache::Options{});
     whatif.set_cache(&*cache);
   }
   // Search tasks produce bit-identical results at any thread count, so the
   // pool is a pure wall-time knob.
-  std::optional<ThreadPool> owned_pool;
   ThreadPool* pool = options_.pool;
-  if (pool == nullptr && options_.threads > 1) {
-    owned_pool.emplace(options_.threads);
-    pool = &*owned_pool;
-  }
 
   std::vector<std::shared_ptr<Transformation>> vertical_group;
   if (options_.enable_intra_vertical) {
@@ -191,17 +179,9 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
   const bool aware_search = reuse_enabled && options_.reuse_aware_search;
   ReuseSearchState reuse_state;
   std::map<std::string, CostKey> base_seeds;
-  // One signature memo per Optimize call, shared across phases and units
-  // like the cost cache: unit base plans, upstream non-unit jobs, and
-  // repeat configurations all resolve their JobReuseKey from the memo.
-  std::optional<ReuseProbeCache> probe_cache;
   if (aware_search) {
     base_seeds = BaseInputContentSeeds(plan, *options_.reuse_dfs);
     reuse_state.seeds = base_seeds;
-    if (options_.reuse_probe_cache) {
-      probe_cache.emplace();
-      reuse_state.probe_cache = &*probe_cache;
-    }
   }
   auto run_phases = [&](Plan p, OptimizeReport* r,
                         ReuseSearchState* rs) -> Result<Plan> {
@@ -250,10 +230,8 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
     // datasets' observed sizes (their annotations), so the reported
     // estimate reflects the savings.
     ReuseRewriter rewriter(options_.reuse_store, options_.reuse_dfs);
-    RewriteProbe posthoc_probe;
-    posthoc_probe.memo = reuse_state.probe_cache;
     STUBBY_ASSIGN_OR_RETURN(ReuseRewriteResult rewritten,
-                            rewriter.Rewrite(current, &posthoc_probe));
+                            rewriter.Rewrite(current));
     report.reuse.Add(rewritten.stats);
     if (rewritten.changed) {
       current = std::move(rewritten.plan);
@@ -279,22 +257,12 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
       blind = current;
     }
     ReuseRewriter rewriter(options_.reuse_store, options_.reuse_dfs);
-    // The whole-plan probe runs serially, so it reads and fills the shared
-    // memo directly (no overlay); the search already seeded most of the
-    // blind plan's signatures.
-    RewriteProbe floor_probe;
-    floor_probe.memo = reuse_state.probe_cache;
     STUBBY_ASSIGN_OR_RETURN(
         ReuseRewriteResult posthoc,
-        rewriter.PlanForScope(blind, /*scope=*/nullptr, &base_seeds,
-                              &floor_probe));
+        rewriter.PlanForScope(blind, /*scope=*/nullptr, &base_seeds));
     report.units_processed += floor_report.units_processed;
     report.subplans_enumerated += floor_report.subplans_enumerated;
     report.reuse.lookups += posthoc.stats.lookups;
-    report.reuse.probe_cache_hits += posthoc.stats.probe_cache_hits;
-    report.reuse.probe_cache_misses += posthoc.stats.probe_cache_misses;
-    report.reuse.signature_keys_computed +=
-        posthoc.stats.signature_keys_computed;
     PhaseReport floor_phase;
     floor_phase.name = "reuse-floor";
     floor_phase.wall_sec =

@@ -44,8 +44,6 @@ struct StubbyOptions {
   /// the chosen plans, costs, and applied transforms are bit-identical with
   /// the cache on or off.
   bool enable_cost_cache = true;
-  size_t cost_cache_plan_capacity = 1024;
-  size_t cost_cache_job_capacity = 16384;
   /// Borrowed external costing memo: when set, the optimizer routes what-if
   /// memoization through it instead of creating a per-call CostCache, so
   /// many Optimize calls can share one long-lived cache (stubbyd hands each
@@ -56,11 +54,9 @@ struct StubbyOptions {
   CostStore* cost_cache = nullptr;
 
   /// Task parallelism for the in-unit search: subplan candidates and RRS
-  /// point blocks run as pool tasks, with results bit-identical at any
-  /// thread count. When `pool` is set it is borrowed (and must outlive the
-  /// Optimize call); otherwise a pool with `threads` threads is created
-  /// per call when threads > 1.
-  int threads = 1;
+  /// point blocks run as tasks on this borrowed pool (it must outlive the
+  /// Optimize call), with results bit-identical at any thread count.
+  /// Null runs the search serially.
   ThreadPool* pool = nullptr;
 
   UnitSearchOptions unit;
@@ -86,13 +82,7 @@ struct StubbyOptions {
   /// search. Like the other reuse fields this stays out of the option salt:
   /// reuse is bit-transparent on outputs.
   bool reuse_aware_search = true;
-  /// Signature memo for the reuse-aware search (reuse/probe_cache.h): one
-  /// Optimize-call-wide ReuseProbeCache memoizes JobReuseKey digests and
-  /// the tier-2b MapStreamKey prefix ladder, so each distinct signature is
-  /// derived once instead of once per RRS-configured candidate. A pure
-  /// wall-time knob: plans, costs, and every counter except
-  /// ReuseStats::probe_cache_{hits,misses} and signature_keys_computed are
-  /// bit-identical on or off, so it stays out of the option salt.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool reuse_probe_cache = true;
   /// Columnar batch execution in the executor (mr/row_batch.h +
   /// exec/wrappers.h): eligible map pipelines and the map-side shuffle run
@@ -147,7 +137,7 @@ struct StubbyOptions {
 
 /// Digest of the options that shape what an optimized plan computes —
 /// transform toggles, phase order, and the unit-search/RRS settings (seed
-/// included). Excludes pure wall-time knobs (threads, pool, cost cache) and
+/// included). Excludes pure wall-time knobs (pool, cost cache) and
 /// the reuse fields themselves. Workflow-terminal store entries are keyed
 /// under this salt: stored bits match a recompute only under equal options.
 CostKey ReuseSaltFromOptions(const StubbyOptions& options);
@@ -206,9 +196,6 @@ class StubbyOptimizer {
     std::map<std::string, CostKey> seeds;
     ReuseStats stats;
     uint64_t won_units = 0;
-    /// Optimize-call-wide signature memo (nullptr when reuse_probe_cache is
-    /// off); borrowed from the stack frame of Optimize.
-    ProbeStore* probe_cache = nullptr;
   };
 
   /// One full traversal of the graph applying a transformation group.

@@ -1,6 +1,7 @@
 #include "reuse/result_store.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <set>
 
@@ -51,7 +52,37 @@ Result<CostKey> CostKeyFromHex(const std::string& hex) {
   return key;
 }
 
+/// Reads an unsigned counter of a catalog document. An absent field reads
+/// 0; a present one must be a finite, nonnegative integer below 2^64 (a
+/// cast of anything else to uint64_t is undefined or silently truncates).
+Result<uint64_t> CatalogCounter(const Json& json, const std::string& field) {
+  const Json* v = json.Find(field);
+  if (v == nullptr) return uint64_t{0};
+  const double d = v->is_number() ? v->AsNumber() : -1.0;
+  if (!std::isfinite(d) || d < 0 || d != std::floor(d) || d >= 0x1p64) {
+    return Status::InvalidArgument("catalog field '" + field +
+                                   "' is not a nonnegative integer");
+  }
+  return static_cast<uint64_t>(d);
+}
+
 }  // namespace
+
+Result<uint64_t> SnapshotOrdinal(const std::string& id) {
+  auto bad = [&id] {
+    return Status::InvalidArgument("bad snapshot id '" + id + "'");
+  };
+  if (id.size() < 4 || id.compare(0, 3, "rs/") != 0) return bad();
+  if (id.size() > 4 && id[3] == '0') return bad();
+  uint64_t n = 0;
+  for (size_t i = 3; i < id.size(); ++i) {
+    if (id[i] < '0' || id[i] > '9') return bad();
+    const uint64_t digit = static_cast<uint64_t>(id[i] - '0');
+    if (n > (UINT64_MAX - digit) / 10) return bad();
+    n = n * 10 + digit;
+  }
+  return n;
+}
 
 Result<EvictionPolicy> EvictionPolicyFromName(const std::string& name) {
   if (name == "lru") return EvictionPolicy::kLru;
@@ -94,24 +125,17 @@ void ReuseStats::Add(const ReuseStats& other) {
   search_probes += other.search_probes;
   search_priced += other.search_priced;
   search_won += other.search_won;
-  probe_cache_hits += other.probe_cache_hits;
-  probe_cache_misses += other.probe_cache_misses;
-  signature_keys_computed += other.signature_keys_computed;
 }
 
 std::string ReuseStats::ToString() const {
   return StrFormat(
       "lookups=%llu whole_job=%llu prefix=%llu workflow=%llu elided=%llu "
-      "bytes_saved=%llu registered=%llu probes=%llu priced=%llu won=%llu "
-      "memo_hits=%llu memo_misses=%llu sig_keys=%llu",
+      "bytes_saved=%llu registered=%llu probes=%llu priced=%llu won=%llu",
       (unsigned long long)lookups, (unsigned long long)whole_job_hits,
       (unsigned long long)prefix_hits, (unsigned long long)workflow_hits,
       (unsigned long long)jobs_elided, (unsigned long long)bytes_saved,
       (unsigned long long)registered, (unsigned long long)search_probes,
-      (unsigned long long)search_priced, (unsigned long long)search_won,
-      (unsigned long long)probe_cache_hits,
-      (unsigned long long)probe_cache_misses,
-      (unsigned long long)signature_keys_computed);
+      (unsigned long long)search_priced, (unsigned long long)search_won);
 }
 
 const char* EvictionPolicyName(EvictionPolicy policy) {
@@ -210,7 +234,7 @@ std::string ResultStore::Register(
 
 void ResultStore::RecordProbe(StoreOp::Kind kind, const CostKey& key,
                               const StoredResult* result) const {
-  if (journal_.ptr == nullptr || !journal_.ptr->record_probes()) return;
+  if (journal_.ptr == nullptr) return;
   StoreOp op;
   op.kind = kind;
   op.key = key;
@@ -428,12 +452,12 @@ Result<ResultStore> ResultStore::FromJson(const Json& json) {
     return Status::InvalidArgument("not a stubby-reuse-catalog document");
   }
   ResultStore store;
-  store.clock_ = static_cast<uint64_t>(json.GetNumber("clock"));
-  store.next_snapshot_ =
-      static_cast<uint64_t>(json.GetNumber("next_snapshot"));
-  store.evictions_ = static_cast<uint64_t>(json.GetNumber("evictions"));
-  store.options_.byte_budget =
-      static_cast<uint64_t>(json.GetNumber("byte_budget"));
+  STUBBY_ASSIGN_OR_RETURN(store.clock_, CatalogCounter(json, "clock"));
+  STUBBY_ASSIGN_OR_RETURN(store.next_snapshot_,
+                          CatalogCounter(json, "next_snapshot"));
+  STUBBY_ASSIGN_OR_RETURN(store.evictions_, CatalogCounter(json, "evictions"));
+  STUBBY_ASSIGN_OR_RETURN(store.options_.byte_budget,
+                          CatalogCounter(json, "byte_budget"));
   if (const Json* policy = json.Find("policy"); policy != nullptr) {
     STUBBY_ASSIGN_OR_RETURN(store.options_.policy,
                             EvictionPolicyFromName(policy->AsString()));
@@ -443,6 +467,18 @@ Result<ResultStore> ResultStore::FromJson(const Json& json) {
   if (snapshots != nullptr && snapshots->is_array()) {
     for (const Json& j : snapshots->items()) {
       std::string id = j.GetString("id");
+      // Register mints rs/<next_snapshot> and replaces whatever holds that
+      // id, so an ordinal at or past next_snapshot would let a later
+      // registration overwrite a live snapshot.
+      STUBBY_ASSIGN_OR_RETURN(uint64_t ordinal, SnapshotOrdinal(id));
+      if (ordinal >= store.next_snapshot_) {
+        return Status::InvalidArgument(
+            "snapshot '" + id + "' is not below next_snapshot " +
+            std::to_string(store.next_snapshot_));
+      }
+      if (store.snapshots_.Exists(id)) {
+        return Status::InvalidArgument("duplicate snapshot '" + id + "'");
+      }
       std::vector<std::string> fields;
       if (const Json* schema = j.Find("schema"); schema != nullptr) {
         for (const Json& f : schema->items()) fields.push_back(f.AsString());
@@ -474,12 +510,14 @@ Result<ResultStore> ResultStore::FromJson(const Json& json) {
       STUBBY_ASSIGN_OR_RETURN(e.key, CostKeyFromHex(j.GetString("key")));
       STUBBY_ASSIGN_OR_RETURN(e.kind, ReuseKindFromName(j.GetString("kind")));
       e.snapshot_id = j.GetString("snapshot");
-      e.raw_bytes = static_cast<uint64_t>(j.GetNumber("raw_bytes"));
-      e.logical_bytes = static_cast<uint64_t>(j.GetNumber("logical_bytes"));
-      e.logical_rows = static_cast<uint64_t>(j.GetNumber("logical_rows"));
-      e.hits = static_cast<uint64_t>(j.GetNumber("hits"));
-      e.created = static_cast<uint64_t>(j.GetNumber("created"));
-      e.last_used = static_cast<uint64_t>(j.GetNumber("last_used"));
+      STUBBY_ASSIGN_OR_RETURN(e.raw_bytes, CatalogCounter(j, "raw_bytes"));
+      STUBBY_ASSIGN_OR_RETURN(e.logical_bytes,
+                              CatalogCounter(j, "logical_bytes"));
+      STUBBY_ASSIGN_OR_RETURN(e.logical_rows,
+                              CatalogCounter(j, "logical_rows"));
+      STUBBY_ASSIGN_OR_RETURN(e.hits, CatalogCounter(j, "hits"));
+      STUBBY_ASSIGN_OR_RETURN(e.created, CatalogCounter(j, "created"));
+      STUBBY_ASSIGN_OR_RETURN(e.last_used, CatalogCounter(j, "last_used"));
       if (!store.snapshots_.Exists(e.snapshot_id)) {
         return Status::InvalidArgument("entry references missing snapshot '" +
                                        e.snapshot_id + "'");

@@ -55,18 +55,9 @@ struct ReuseStats {
   uint64_t search_priced = 0;
   uint64_t search_won = 0;
 
-  /// Signature memo (reuse/probe_cache.h): signature resolutions —
-  /// JobReuseKeys and tier-2b MapStreamKey ladder rungs — served from the
-  /// memo vs computed fresh, plus the count of actual signature digest
-  /// computations on the probe path (`signature_keys_computed` — the
-  /// measured baseline when the memo is off). Pure wall-time
-  /// observability — every other counter, and every key bit, is identical
-  /// with the memo on or off — but still deterministic at any thread count
-  /// (memo state follows the same snapshot/overlay/ordered-merge protocol
-  /// as the cost cache).
+  /// Always 0; perfbench/ reports them. Delete with the next perfbench/ change.
   uint64_t probe_cache_hits = 0;
   uint64_t probe_cache_misses = 0;
-  uint64_t signature_keys_computed = 0;
 
   void Add(const ReuseStats& other);
   std::string ToString() const;
@@ -115,6 +106,10 @@ int ExactFractionCompare(unsigned __int128 a_num, unsigned __int128 a_den,
 /// anything else.
 Result<EvictionPolicy> EvictionPolicyFromName(const std::string& name);
 
+/// The ordinal n of a snapshot id "rs/<n>", the only form Register mints
+/// (decimal, no sign, no leading zeros); InvalidArgument otherwise.
+Result<uint64_t> SnapshotOrdinal(const std::string& id);
+
 /// One recorded ResultStore operation (see StoreJournal).
 struct StoreOp {
   enum class Kind : uint8_t { kPeek, kLookup, kRegister, kPin, kUnpin };
@@ -143,13 +138,10 @@ class StoreJournal {
     ops_.push_back(std::move(op));
   }
   const std::vector<StoreOp>& ops() const { return ops_; }
-  void set_record_probes(bool on) { record_probes_ = on; }
-  bool record_probes() const { return record_probes_; }
 
  private:
   std::mutex mu_;
   std::vector<StoreOp> ops_;
-  bool record_probes_ = true;
 };
 
 /// Byte-budgeted, deterministically-evicting snapshot catalog.
@@ -211,7 +203,7 @@ class ResultStore {
 
   /// Attaches (nullptr: detaches) an operation journal; borrowed, must
   /// outlive the attachment. Every subsequent Peek/Lookup/Register/Pin/
-  /// Unpin is appended (probes only while `record_probes()` is on).
+  /// Unpin is appended.
   /// Internal budget enforcement is not journaled — it is a deterministic
   /// consequence of the Register that triggered it.
   void set_journal(StoreJournal* journal) { journal_.ptr = journal; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "reuse/probe_cache.h"
-
 namespace stubby {
 
 Status ReuseRewriter::MaterializeVertex(Plan* plan,
@@ -74,50 +72,38 @@ Result<ReuseRewriteResult> ReuseRewriter::ElideWholeWorkflow(
   return result;
 }
 
-Result<ReuseRewriteResult> ReuseRewriter::Rewrite(const Plan& plan,
-                                                  const RewriteProbe* probe) {
+Result<ReuseRewriteResult> ReuseRewriter::Rewrite(const Plan& plan) {
   return RewriteImpl(plan, /*scope=*/nullptr, /*seeds=*/nullptr,
-                     /*commit=*/true, probe);
+                     /*commit=*/true);
 }
 
 Result<ReuseRewriteResult> ReuseRewriter::PlanForScope(
     const Plan& plan, const std::vector<std::string>* scope,
-    const std::map<std::string, CostKey>* seeds,
-    const RewriteProbe* probe) const {
+    const std::map<std::string, CostKey>* seeds) const {
   if (scope == nullptr) {
-    return RewriteImpl(plan, nullptr, seeds, /*commit=*/false, probe);
+    return RewriteImpl(plan, nullptr, seeds, /*commit=*/false);
   }
   std::set<std::string> scope_set(scope->begin(), scope->end());
-  return RewriteImpl(plan, &scope_set, seeds, /*commit=*/false, probe);
+  return RewriteImpl(plan, &scope_set, seeds, /*commit=*/false);
 }
 
 Result<ReuseRewriteResult> ReuseRewriter::RewriteImpl(
     const Plan& plan, const std::set<std::string>* scope,
-    const std::map<std::string, CostKey>* seeds, bool commit,
-    const RewriteProbe* probe) const {
+    const std::map<std::string, CostKey>* seeds, bool commit) const {
   ReuseRewriteResult result;
   result.plan = plan;
   const size_t original_jobs = plan.num_jobs();
 
-  // Lineage acceleration: restrict key derivation to the upstream closure
-  // of the scope (a scoped probe can only observe those keys — applied
-  // with or without the memo so probe sequences stay identical), and
-  // memoize JobReuseKey resolutions across candidates via the probe memo.
-  LineageMemo accel;
-  if (probe != nullptr) {
-    accel.memo = probe->memo;
-    accel.content_digests = probe->content_digests;
-  }
+  // A scoped probe can only observe the keys of the scope's upstream
+  // closure, so key derivation stops there.
   std::set<std::string> closure;
   if (scope != nullptr) {
     STUBBY_ASSIGN_OR_RETURN(closure, UpstreamJobClosure(plan, *scope));
-    accel.restrict_to = &closure;
   }
-  STUBBY_ASSIGN_OR_RETURN(PlanLineage lineage,
-                          ComputeLineage(plan, *dfs_, seeds, &accel));
-  result.stats.probe_cache_hits += accel.hits;
-  result.stats.probe_cache_misses += accel.misses;
-  result.stats.signature_keys_computed += accel.computed;
+  STUBBY_ASSIGN_OR_RETURN(
+      PlanLineage lineage,
+      ComputeLineage(plan, *dfs_, seeds,
+                     scope != nullptr ? &closure : nullptr));
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
                           plan.TopologicalOrder());
 
@@ -174,28 +160,8 @@ Result<ReuseRewriteResult> ReuseRewriter::RewriteImpl(
         // Eligibility inspects the whole pipeline, not the prefix, so one
         // check at k = n decides the entire ladder.
         if (n >= 1 && PrefixEligible(b, in, job->config, n)) {
-          ProbeStore* memo = probe != nullptr ? probe->memo : nullptr;
-          CostKey memo_base{0, 0};
-          if (memo != nullptr) {
-            memo_base = MapStreamMemoBase(lit->second, in.map_stages);
-          }
           for (size_t k = n; k >= 1; --k) {  // longest stored prefix wins
-            CostKey key;
-            if (memo != nullptr) {
-              const CostKey memo_key = MapStreamMemoKey(memo_base, k);
-              if (const CostKey* cached = memo->Peek(memo_key)) {
-                key = *cached;
-                ++result.stats.probe_cache_hits;
-              } else {
-                key = MapStreamKey(lit->second, in.map_stages, k);
-                memo->Insert(memo_key, key);
-                ++result.stats.probe_cache_misses;
-                ++result.stats.signature_keys_computed;
-              }
-            } else {
-              key = MapStreamKey(lit->second, in.map_stages, k);
-              ++result.stats.signature_keys_computed;
-            }
+            const CostKey key = MapStreamKey(lit->second, in.map_stages, k);
             ++result.stats.lookups;
             const StoredResult* e = store_->Peek(key);
             if (e != nullptr) {

@@ -30,22 +30,6 @@
 
 namespace stubby {
 
-class ProbeStore;  // reuse/probe_cache.h
-
-/// Optional signature-memo context for a rewrite probe. Memoizes both the
-/// per-job JobReuseKey digests (via ComputeLineage) and the tier-2b
-/// MapStreamKey prefix ladder. Pure wall-time acceleration: with or
-/// without it, the produced plan, hit pattern, and every counter except
-/// ReuseStats::probe_cache_{hits,misses} and signature_keys_computed are
-/// bit-identical. `memo` may be the shared ReuseProbeCache (serial
-/// callers) or a task-private ProbeCacheOverlay (parallel candidates);
-/// `content_digests` lets the probe reuse the per-job content digests the
-/// costing layer already computed for this exact plan.
-struct RewriteProbe {
-  ProbeStore* memo = nullptr;
-  const std::map<std::string, CostDigest>* content_digests = nullptr;
-};
-
 /// Outcome of a rewrite pass.
 struct ReuseRewriteResult {
   Plan plan;
@@ -79,8 +63,7 @@ class ReuseRewriter {
   /// Whole-job + map-prefix rewriting (tier 2), then dead-code cleanup.
   /// Commits hits to the store: Lookup bumps hit counts and recency, and
   /// the snapshots the rewritten plan scans are pinned.
-  Result<ReuseRewriteResult> Rewrite(const Plan& plan,
-                                     const RewriteProbe* probe = nullptr);
+  Result<ReuseRewriteResult> Rewrite(const Plan& plan);
 
   /// Planning-mode variant for the reuse-aware unit search: the same
   /// whole-job + map-prefix matching and cleanup, but read-only — probes
@@ -91,20 +74,17 @@ class ReuseRewriter {
   /// pre-resolves lineage keys — the search passes base-input content keys
   /// plus the keys of vertices materialized by earlier units, so chained
   /// rewrites across units resolve without the vertices existing in the
-  /// dfs. `probe` (optional) attaches the signature memo. The caller
-  /// commits the winning plan's hits afterwards.
+  /// dfs. The caller commits the winning plan's hits afterwards.
   Result<ReuseRewriteResult> PlanForScope(
       const Plan& plan, const std::vector<std::string>* scope,
-      const std::map<std::string, CostKey>* seeds,
-      const RewriteProbe* probe = nullptr) const;
+      const std::map<std::string, CostKey>* seeds) const;
 
  private:
   /// Shared tier-2 implementation behind Rewrite (commit = true) and
   /// PlanForScope (commit = false).
   Result<ReuseRewriteResult> RewriteImpl(
       const Plan& plan, const std::set<std::string>* scope,
-      const std::map<std::string, CostKey>* seeds, bool commit,
-      const RewriteProbe* probe) const;
+      const std::map<std::string, CostKey>* seeds, bool commit) const;
 
   /// Rewires one dataset vertex to be served from a stored snapshot.
   Status MaterializeVertex(Plan* plan, const std::string& dataset_id,

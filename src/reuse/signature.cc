@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "reuse/probe_cache.h"
 
 namespace stubby {
 
@@ -16,8 +15,6 @@ constexpr uint64_t kTagJobReuse = 0x52655573456a4f62ull;        // "ReUsEjOb"
 constexpr uint64_t kTagJobOutput = 0x526555734f757470ull;       // "ReUsOutp"
 constexpr uint64_t kTagMapStream = 0x5265557353747234ull;       // "ReUsStr4"
 constexpr uint64_t kTagWorkflowOut = 0x526555735766304full;     // "ReUsWf0O"
-constexpr uint64_t kTagProbeMemo = 0x526555734d656d30ull;       // "ReUsMem0"
-constexpr uint64_t kTagPrefixMemo = 0x526555734d656d31ull;      // "ReUsMem1"
 
 void MixKey(CostDigest* d, const CostKey& k) {
   d->Mix(k.first);
@@ -121,23 +118,6 @@ CostKey MapStreamKey(const CostKey& input, const std::vector<Stage>& stages,
   for (size_t i = 0; i < prefix_len && i < stages.size(); ++i) {
     d.Mix(stages[i].name());
   }
-  return d.value();
-}
-
-CostKey MapStreamMemoBase(const CostKey& input,
-                          const std::vector<Stage>& stages) {
-  CostDigest d;
-  d.Mix(kTagPrefixMemo);
-  MixKey(&d, input);
-  d.Mix(static_cast<uint64_t>(stages.size()));
-  for (const Stage& s : stages) d.Mix(s.name());
-  return d.value();
-}
-
-CostKey MapStreamMemoKey(const CostKey& base, size_t prefix_len) {
-  CostDigest d;
-  MixKey(&d, base);
-  d.Mix(static_cast<uint64_t>(prefix_len));
   return d.value();
 }
 
@@ -247,58 +227,9 @@ Result<std::set<std::string>> UpstreamJobClosure(
   return needed;
 }
 
-Result<CostKey> JobProbeMemoKey(const JobVertex& job, const Plan& plan,
-                                const std::map<std::string, CostKey>& datasets,
-                                const CostDigest* content_digest) {
-  // Superset contract with JobReuseKey: the content digest covers the
-  // whole job vertex (branch structure, stages, prune lists, partition
-  // specs, configuration); everything JobReuseKey reads from *outside* the
-  // vertex — input/sample lineage keys, output/merge schemas, the combiner
-  // name, the compression ratio — is mixed explicitly below. The failure
-  // conditions (missing lineage key, missing output vertex) are replicated
-  // exactly, so memoized and direct resolution agree on resolvability.
-  CostDigest d;
-  d.Mix(kTagProbeMemo);
-  MixKey(&d, content_digest != nullptr ? content_digest->value()
-                                       : JobContentDigest(job).value());
-  for (const Branch& b : job.branches) {
-    for (const BranchInput& in : b.inputs) {
-      auto it = datasets.find(in.dataset_id);
-      if (it == datasets.end()) {
-        return Status::NotFound("no lineage key for input dataset '" +
-                                in.dataset_id + "'");
-      }
-      MixKey(&d, it->second);
-    }
-    if (!b.map_only()) {
-      if (!b.partition.split_points_from.empty()) {
-        auto it = datasets.find(b.partition.split_points_from);
-        if (it == datasets.end()) {
-          return Status::NotFound(
-              "no lineage key for split-points dataset '" +
-              b.partition.split_points_from + "'");
-        }
-        MixKey(&d, it->second);
-      }
-      d.Mix(b.combiner != nullptr ? b.combiner->name() : std::string());
-    }
-    d.Mix(b.merge_schema.fields());
-    d.Mix(b.map_output_schema.fields());
-    d.Mix(b.preserved_partition.has_value());
-    if (b.preserved_partition) {
-      MixPartitionSpecDigest(&d, *b.preserved_partition);
-    }
-    auto out_ds = plan.GetDataset(b.output_dataset);
-    if (!out_ds.ok()) return out_ds.status();
-    d.Mix((*out_ds)->schema.fields());
-  }
-  d.Mix(plan.cluster().compress_ratio);
-  return d.value();
-}
-
 Result<PlanLineage> ComputeLineage(const Plan& plan, const Dfs& dfs,
                                    const std::map<std::string, CostKey>* seed,
-                                   LineageMemo* accel) {
+                                   const std::set<std::string>* restrict_to) {
   PlanLineage lineage;
   if (seed != nullptr) lineage.datasets = *seed;
   for (const auto& [id, ds] : plan.datasets()) {
@@ -310,34 +241,11 @@ Result<PlanLineage> ComputeLineage(const Plan& plan, const Dfs& dfs,
   auto order = plan.TopologicalOrder();
   if (!order.ok()) return order.status();
   for (const std::string& jid : *order) {
-    if (accel != nullptr && accel->restrict_to != nullptr &&
-        accel->restrict_to->count(jid) == 0) {
+    if (restrict_to != nullptr && restrict_to->count(jid) == 0) {
       continue;  // nobody downstream in the closure needs this key
     }
     const JobVertex& job = *(*plan.GetJob(jid));
-    Result<CostKey> key = Status::Unknown("unresolved");
-    if (accel != nullptr && accel->memo != nullptr) {
-      const CostDigest* cd = nullptr;
-      if (accel->content_digests != nullptr) {
-        auto dit = accel->content_digests->find(jid);
-        if (dit != accel->content_digests->end()) cd = &dit->second;
-      }
-      auto memo_key = JobProbeMemoKey(job, plan, lineage.datasets, cd);
-      if (!memo_key.ok()) {
-        key = memo_key.status();  // same unresolvable miss as JobReuseKey
-      } else if (const CostKey* cached = accel->memo->Peek(*memo_key)) {
-        ++accel->hits;
-        key = *cached;
-      } else {
-        ++accel->misses;
-        ++accel->computed;
-        key = JobReuseKey(job, plan, lineage.datasets);
-        if (key.ok()) accel->memo->Insert(*memo_key, *key);
-      }
-    } else {
-      if (accel != nullptr) ++accel->computed;
-      key = JobReuseKey(job, plan, lineage.datasets);
-    }
+    Result<CostKey> key = JobReuseKey(job, plan, lineage.datasets);
     if (!key.ok()) continue;  // an input was unresolvable
     lineage.jobs.emplace(jid, *key);
     std::vector<std::string> outputs = job.OutputDatasets();

@@ -42,8 +42,6 @@
 
 namespace stubby {
 
-class ProbeStore;  // reuse/probe_cache.h
-
 /// Digest of the full stored content of a dataset: schema, layout,
 /// logical scale, and every partition's rows (boundaries included). Two
 /// datasets with equal content keys are bit-identical snapshots.
@@ -58,19 +56,6 @@ CostKey JobOutputKey(const CostKey& job_key, size_t index);
 /// for pipelines that pass PrefixEligible.
 CostKey MapStreamKey(const CostKey& input, const std::vector<Stage>& stages,
                      size_t prefix_len);
-
-/// Memo addressing for the tier-2b map-prefix ladder. The rewriter probes
-/// MapStreamKey for every prefix length k = n..1 of every branch input of
-/// every candidate plan — O(n^2) stage-name digesting per ladder, repeated
-/// per RRS-configured candidate. `MapStreamMemoBase` digests the ladder's
-/// invariant part (input lineage key + all n stage names) once;
-/// `MapStreamMemoKey` derives each rung's memo address from the base in
-/// O(1). Equal memo keys imply equal MapStreamKeys (the base covers
-/// everything MapStreamKey reads), so a ProbeStore keyed this way serves
-/// the resolved key once per distinct prefix instead of per candidate.
-CostKey MapStreamMemoBase(const CostKey& input,
-                          const std::vector<Stage>& stages);
-CostKey MapStreamMemoKey(const CostKey& base, size_t prefix_len);
 
 /// Key under which a workflow-terminal output is registered: the dataset's
 /// original-plan lineage key salted with a digest of the optimizer options
@@ -97,48 +82,11 @@ struct PlanLineage {
   std::map<std::string, CostKey> jobs;      ///< job id -> job reuse key
 };
 
-/// Optional acceleration state for ComputeLineage. Everything here is a
-/// pure wall-time knob: lineage keys are bit-identical with or without it.
-struct LineageMemo {
-  /// Signature memo (reuse/probe_cache.h): resolved JobReuseKeys keyed by
-  /// JobProbeMemoKey. Hits skip the JobReuseKey digest; misses compute and
-  /// insert it. Null = no memoization.
-  ProbeStore* memo = nullptr;
-  /// Precomputed JobContentDigest per job id (the costing layer already
-  /// holds these for a configured plan). Jobs absent from the map get
-  /// their content digest computed on the fly.
-  const std::map<std::string, CostDigest>* content_digests = nullptr;
-  /// When set, job reuse keys are computed only for these job ids. The
-  /// caller must pass an upstream-closed set (see UpstreamJobClosure):
-  /// a restricted job's key computation still needs every ancestor's key.
-  const std::set<std::string>* restrict_to = nullptr;
-
-  /// Out-counters. `hits`/`misses` track the memo (untouched when `memo`
-  /// is null); `computed` counts actual JobReuseKey digest computations
-  /// with or without a memo attached — the memo-off baseline for the
-  /// probe-memo study is this counter, measured, not inferred.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t computed = 0;
-};
-
 /// Job ids of `targets` plus every job upstream of them (through branch
 /// inputs and split_points_from sample dependencies) — the exact set whose
 /// reuse keys a scope-restricted rewrite probe can observe.
 Result<std::set<std::string>> UpstreamJobClosure(
     const Plan& plan, const std::set<std::string>& targets);
-
-/// Memo key of one job for the signature memo: a digest over a superset
-/// of everything JobReuseKey reads — the job's content digest (structure +
-/// configuration), the lineage keys of its branch inputs and
-/// split-points samples, output/merge schemas, the combiner name, and the
-/// cluster compression ratio. Equal memo keys therefore imply equal
-/// JobReuseKeys (the converse need not hold; over-fragmentation only costs
-/// a redundant computation, never a wrong key). Fails exactly when
-/// JobReuseKey would: a required lineage key is missing.
-Result<CostKey> JobProbeMemoKey(const JobVertex& job, const Plan& plan,
-                                const std::map<std::string, CostKey>& datasets,
-                                const CostDigest* content_digest = nullptr);
 
 /// Computes lineage keys in topological order. `dfs` supplies the content
 /// of base-input datasets; produced datasets derive from their producer's
@@ -146,12 +94,14 @@ Result<CostKey> JobProbeMemoKey(const JobVertex& job, const Plan& plan,
 /// dataset keys before derivation — the session uses it to give rewritten
 /// materialized vertices their *original* lineage identity so downstream
 /// registrations stay comparable across rewritten and recomputed runs.
-/// `accel` (optional) memoizes/prunes the per-job digest work without
-/// changing a single key bit.
+/// `restrict_to` (optional) limits job key derivation to those job ids;
+/// it must be upstream-closed (see UpstreamJobClosure), because a job's
+/// key needs every ancestor's key. Keys it does derive are bit-identical
+/// to an unrestricted run's.
 Result<PlanLineage> ComputeLineage(
     const Plan& plan, const Dfs& dfs,
     const std::map<std::string, CostKey>* seed = nullptr,
-    LineageMemo* accel = nullptr);
+    const std::set<std::string>* restrict_to = nullptr);
 
 /// Content keys of every base-input dataset of `plan` resolvable in `dfs`
 /// (exactly what ComputeLineage would derive for them). The reuse-aware

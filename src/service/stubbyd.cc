@@ -14,19 +14,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Parses the ordinal of a store snapshot id ("rs/<n>").
-bool SnapshotOrdinal(const std::string& id, uint64_t* out) {
-  if (id.size() < 4 || id.compare(0, 3, "rs/") != 0) return false;
-  uint64_t n = 0;
-  for (size_t i = 3; i < id.size(); ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = n;
-  return true;
-}
-
 }  // namespace
 
 const char* DegradeLevelName(DegradeLevel level) {
@@ -168,9 +155,9 @@ bool StubbyService::ReplayJournal(const Speculation& spec,
   // the replay creates snapshots in the same relative order). Pre-fork ids
   // are content-stable (never mutated, never reused) and match literally.
   auto translate = [&](const std::string& id) -> std::string {
-    uint64_t n = 0;
-    if (SnapshotOrdinal(id, &n) && n >= spec.fork_base) {
-      return "rs/" + std::to_string(replay_base + (n - spec.fork_base));
+    Result<uint64_t> n = SnapshotOrdinal(id);
+    if (n.ok() && *n >= spec.fork_base) {
+      return "rs/" + std::to_string(replay_base + (*n - spec.fork_base));
     }
     return id;
   };

@@ -2,19 +2,17 @@
 // unoptimized as the oracle, then through every optimizer/reuse mode — the
 // reuse-blind search, a cold-store reuse-aware search, a warm-store
 // reuse-aware search (twice, so the second run prices store hits inside the
-// unit search), the post-hoc rewrite path, the warm search with the
-// signature probe memo on vs off, the reuse-blind session with the
-// columnar batch executor off, the reuse-blind session with
+// unit search), the post-hoc rewrite path, the reuse-blind session with
+// the columnar batch executor off, the reuse-blind session with
 // column-native storage off, the bloom-transfer knob off (`bloom_off`,
 // byte-transparent against the blind run) and on (`bloom_on`, the sixth
 // transformation enumerates for real on the selective-join seeds; its
 // probe pre-filters drop rows yet outputs must still match the oracle —
 // the false-positive-only ledger guarantee), the adaptive re-optimizer on
-// with accurate
-// profiles (`reopt_on`, must be an exact no-op against the blind run), and
-// the adaptive re-optimizer on with deterministically perturbed profiles
-// (`reopt_misprofiled`, may emit and splice different plans but must still
-// match the oracle) — at 1 and 4 threads. Every emitted plan must produce
+// with accurate profiles (`reopt_on`, must be an exact no-op against the
+// blind run), and the adaptive re-optimizer on with deterministically
+// perturbed profiles (`reopt_misprofiled`, may emit and splice different
+// plans but must still match the oracle) — at 1 and 4 threads. Every emitted plan must produce
 // workflow outputs matching the oracle (after a canonical row sort;
 // optimized plans may emit rows in a different order), and plans, cost
 // bits, and reuse + adaptive counters must not depend on thread count.
@@ -190,8 +188,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   }
 
   // Modes, per thread count: blind, batch-off, columnar-off, cold, warm1,
-  // warm2, posthoc, memo on/off, bloom off/on, reopt on, reopt
-  // mis-profiled.
+  // warm2, posthoc, bloom off/on, reopt on, reopt mis-profiled.
   std::map<int, std::vector<ModeResult>> by_threads;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -287,41 +284,6 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     ASSERT_TRUE(posthoc.ok()) << posthoc.status();
     ExpectMatchesOracle(posthoc->outputs, oracle->outputs, "posthoc", floats);
 
-    // Probe-memo transparency, warm and cold-ish: freeze the store after
-    // the runs above, then replay the warm mode from byte-identical copies
-    // with the signature memo on and off. Everything except the
-    // probe_cache observability pair must be bit-identical.
-    const std::string frozen = store.Serialize();
-    auto run_memo = [&](bool memo) -> Result<ReuseSessionResult> {
-      STUBBY_ASSIGN_OR_RETURN(ResultStore copy,
-                              ResultStore::Deserialize(frozen));
-      ReuseSession memo_session(&copy);
-      StubbyOptions memo_opts = warm_opts;
-      memo_opts.reuse_probe_cache = memo;
-      return memo_session.Run(f->plan(), f->dfs(), memo_opts, &pool);
-    };
-    auto memo_on = run_memo(true);
-    ASSERT_TRUE(memo_on.ok()) << memo_on.status();
-    ExpectMatchesOracle(memo_on->outputs, oracle->outputs, "memo_on", floats);
-    auto memo_off = run_memo(false);
-    ASSERT_TRUE(memo_off.ok()) << memo_off.status();
-    ExpectMatchesOracle(memo_off->outputs, oracle->outputs, "memo_off", floats);
-    EXPECT_EQ(PlanSignature(memo_on->report.plan),
-              PlanSignature(memo_off->report.plan));
-    EXPECT_TRUE(SameCostBits(memo_on->report.estimated_cost,
-                             memo_off->report.estimated_cost));
-    EXPECT_EQ(memo_off->report.reuse.probe_cache_hits, 0u);
-    EXPECT_EQ(memo_off->report.reuse.probe_cache_misses, 0u);
-    // signature_keys_computed legitimately differs between the runs (the
-    // memo's base-plan pre-seed computes keys the direct path never
-    // touches on tiny workflows), so it is masked like the hit/miss pair.
-    ReuseStats masked = memo_on->report.reuse;
-    masked.probe_cache_hits = 0;
-    masked.probe_cache_misses = 0;
-    masked.signature_keys_computed =
-        memo_off->report.reuse.signature_keys_computed;
-    EXPECT_EQ(masked.ToString(), memo_off->report.reuse.ToString());
-
     // Re-optimization transparency (`reopt_on` vs the blind `reopt_off`
     // baseline): with accurate profiles the adaptive runner must be an
     // exact no-op — same plan, cost bits, simulated makespan, and raw
@@ -411,7 +373,6 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
                            Capture(*columnar_off),
                            Capture(*cold),      Capture(*warm1),
                            Capture(*warm2),     Capture(*posthoc),
-                           Capture(*memo_on),   Capture(*memo_off),
                            Capture(*bloom_off), Capture(*bloom_on),
                            Capture(*reopt_on),  Capture(*mis)};
   }
@@ -423,9 +384,8 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   ASSERT_EQ(t1.size(), t4.size());
   static const char* kModes[] = {"blind",     "batch_off", "columnar_off",
                                  "cold",      "warm1",     "warm2",
-                                 "posthoc",   "memo_on",   "memo_off",
-                                 "bloom_off", "bloom_on",  "reopt_on",
-                                 "reopt_misprofiled"};
+                                 "posthoc",   "bloom_off", "bloom_on",
+                                 "reopt_on",  "reopt_misprofiled"};
   for (size_t i = 0; i < t1.size(); ++i) {
     SCOPED_TRACE(kModes[i]);
     EXPECT_EQ(t1[i].plan_signature, t4[i].plan_signature);

@@ -14,12 +14,12 @@
 #include "common/threading.h"
 #include "mr/row_batch.h"
 #include "optimizer/transform.h"
-#include "reuse/probe_cache.h"
 #include "reuse/result_store.h"
 #include "reuse/rewriter.h"
 #include "reuse/session.h"
 #include "reuse/signature.h"
 #include "test_workflows.h"
+#include "workloads/registry.h"
 #include "workloads/udfs.h"
 
 namespace stubby {
@@ -185,6 +185,35 @@ TEST(SignatureTest, VertexNamesDoNotEnterIdentity) {
   ASSERT_EQ(lb->jobs.size(), 1u);
   EXPECT_EQ(la->jobs.at("J1"), lb->jobs.at("JOB_Y"));
   EXPECT_EQ(la->datasets.at("OUT"), lb->datasets.at("RESULT_Z"));
+}
+
+TEST(SignatureTest, RestrictedLineageMatchesUnrestrictedOnTheClosure) {
+  WorkloadOptions options;
+  options.sample_rows = 2000;
+  auto w = MakeWorkload("BR", options);
+  ASSERT_TRUE(w.ok()) << w.status();
+  auto full = ComputeLineage(w->plan, w->dfs);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->jobs.size(), w->plan.num_jobs());
+
+  size_t strict_subsets = 0;
+  for (const auto& [scope_job, unused] : w->plan.jobs()) {
+    SCOPED_TRACE("scope=" + scope_job);
+    auto closure = UpstreamJobClosure(w->plan, {scope_job});
+    ASSERT_TRUE(closure.ok()) << closure.status();
+    auto restricted = ComputeLineage(w->plan, w->dfs, nullptr, &*closure);
+    ASSERT_TRUE(restricted.ok()) << restricted.status();
+    if (closure->size() < w->plan.num_jobs()) ++strict_subsets;
+    for (const auto& [jid, key] : full->jobs) {
+      if (closure->count(jid)) {
+        ASSERT_EQ(restricted->jobs.count(jid), 1u) << jid;
+        EXPECT_EQ(restricted->jobs.at(jid), key) << jid;
+      } else {
+        EXPECT_EQ(restricted->jobs.count(jid), 0u) << jid;
+      }
+    }
+  }
+  EXPECT_GT(strict_subsets, 0u);  // the restriction was exercised
 }
 
 TEST(SignatureTest, ConfigurationAndContentEnterIdentity) {
@@ -391,6 +420,59 @@ TEST(ResultStoreTest, CatalogRoundTripPreservesKeysAndCounters) {
   EXPECT_FALSE(ResultStore::Deserialize("{\"format\":\"nope\"}").ok());
 }
 
+TEST(ResultStoreTest, CatalogWithLoweredNextSnapshotIsRejected) {
+  // A next_snapshot at or below a live snapshot's ordinal would make the
+  // next Register mint that id again and overwrite the live snapshot.
+  ResultStore store;
+  store.Register(*MakeStored("x", 40), {{CostKey{1, 1}, ReuseKind::kJobOutput}});
+  Json doc = store.ToJson();
+  ASSERT_EQ(doc.GetNumber("next_snapshot"), 1.0);
+  ASSERT_TRUE(ResultStore::FromJson(doc).ok());
+  doc["next_snapshot"] = 0;
+  auto loaded = ResultStore::FromJson(doc);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // Snapshot ids other than the canonical rs/<n> are refused as well.
+  std::string renamed = store.Serialize();
+  for (size_t at = renamed.find("\"rs/0\""); at != std::string::npos;
+       at = renamed.find("\"rs/0\"", at)) {
+    renamed.replace(at, 6, "\"rs/00\"");
+  }
+  ASSERT_NE(renamed.find("\"rs/00\""), std::string::npos);
+  EXPECT_FALSE(ResultStore::Deserialize(renamed).ok());
+
+  // So is a second snapshot under a live id: loading it would replace the
+  // first snapshot's rows under every entry that references it.
+  Json duplicated = store.ToJson();
+  Json snapshots = *duplicated.Find("snapshots");
+  snapshots.Append(snapshots.items()[0]);
+  duplicated["snapshots"] = std::move(snapshots);
+  EXPECT_FALSE(ResultStore::FromJson(duplicated).ok());
+}
+
+TEST(ResultStoreTest, CatalogWithNegativeCounterIsRejected) {
+  ResultStore store;
+  store.Register(*MakeStored("x", 40), {{CostKey{1, 1}, ReuseKind::kJobOutput}});
+  Json doc = store.ToJson();
+  doc["clock"] = -1;
+  auto loaded = ResultStore::FromJson(doc);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // Fractional and out-of-range values are refused too, entry fields alike.
+  for (double bad : {2.5, -0.5, 1e30}) {
+    Json fractional = store.ToJson();
+    fractional["evictions"] = bad;
+    EXPECT_FALSE(ResultStore::FromJson(fractional).ok()) << bad;
+  }
+  std::string text = store.Serialize();
+  const size_t hits = text.find("\"hits\": 0");
+  ASSERT_NE(hits, std::string::npos);
+  text.replace(hits, 9, "\"hits\": 0.5");
+  EXPECT_FALSE(ResultStore::Deserialize(text).ok());
+}
+
 // --- rewriting + session bit-identity --------------------------------------
 
 TEST(ReuseRewriterTest, NoHitsLeavesPlanBitIdentical) {
@@ -406,11 +488,9 @@ TEST(ReuseRewriterTest, NoHitsLeavesPlanBitIdentical) {
   EXPECT_EQ(result->plan.ToString(), f->plan().ToString());
 }
 
-TEST(ReuseRewriterTest, MapPrefixLadderMemoIsTransparent) {
-  // Warm the store with Q1 = [filter] so probing Q2 = [filter, project]
-  // walks the tier-2b prefix ladder (k = 2 misses, k = 1 hits). The probe
-  // memo must change nothing but the memo counters and the number of
-  // signature digests actually computed.
+TEST(ReuseRewriterTest, MapPrefixLadderTakesLongestStoredPrefix) {
+  // Store Q1 = [filter], then probe Q2 = [filter, project] over equal base
+  // content: the tier-2b ladder misses at k = 2 and hits at k = 1.
   auto q1 = MakeMapOnly("B", "J1", "OUT1", 1);
   auto q2 = MakeMapOnly("BB", "J2", "OUT2", 2);
   ASSERT_TRUE(q1.ok() && q2.ok());
@@ -419,34 +499,31 @@ TEST(ReuseRewriterTest, MapPrefixLadderMemoIsTransparent) {
   auto r1 = session.Run(q1->plan(), q1->dfs(), StubbyOptions{});
   ASSERT_TRUE(r1.ok()) << r1.status();
 
-  ReuseRewriter rewriter(&store, &q2->dfs());
-  auto plain = rewriter.PlanForScope(q2->plan(), nullptr, nullptr, nullptr);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  ASSERT_GE(plain->stats.prefix_hits, 1u) << plain->stats.ToString();
-  EXPECT_EQ(plain->stats.probe_cache_hits, 0u);   // no memo attached
-  EXPECT_EQ(plain->stats.probe_cache_misses, 0u);
-  EXPECT_GT(plain->stats.signature_keys_computed, 0u);
+  auto lineage = ComputeLineage(q2->plan(), q2->dfs());
+  ASSERT_TRUE(lineage.ok()) << lineage.status();
+  const BranchInput& original =
+      (*q2->plan().GetJob("J2"))->branches[0].inputs[0];
+  const CostKey input = lineage->datasets.at("BB");
+  const CostKey k1 = MapStreamKey(input, original.map_stages, 1);
+  EXPECT_EQ(store.Peek(MapStreamKey(input, original.map_stages, 2)), nullptr);
+  ASSERT_NE(store.Peek(k1), nullptr);
 
-  ReuseProbeCache memo;
-  RewriteProbe probe{&memo, nullptr};
-  auto cold = rewriter.PlanForScope(q2->plan(), nullptr, nullptr, &probe);
-  auto warm = rewriter.PlanForScope(q2->plan(), nullptr, nullptr, &probe);
-  ASSERT_TRUE(cold.ok() && warm.ok());
-  for (const ReuseRewriteResult* r : {&*cold, &*warm}) {
-    EXPECT_EQ(r->plan.ToString(), plain->plan.ToString());
-    EXPECT_EQ(r->stats.prefix_hits, plain->stats.prefix_hits);
-    EXPECT_EQ(r->stats.lookups, plain->stats.lookups);
-    EXPECT_EQ(r->stats.bytes_saved, plain->stats.bytes_saved);
-  }
-  // Cold memo: every signature computed once and inserted; warm memo:
-  // every resolution (job keys and ladder rungs alike) served from memo.
-  EXPECT_EQ(cold->stats.probe_cache_hits, 0u);
-  EXPECT_GT(cold->stats.probe_cache_misses, 0u);
-  EXPECT_EQ(cold->stats.signature_keys_computed,
-            plain->stats.signature_keys_computed);
-  EXPECT_EQ(warm->stats.probe_cache_misses, 0u);
-  EXPECT_EQ(warm->stats.probe_cache_hits, cold->stats.probe_cache_misses);
-  EXPECT_EQ(warm->stats.signature_keys_computed, 0u);
+  ReuseRewriter rewriter(&store, &q2->dfs());
+  auto probe = rewriter.PlanForScope(q2->plan(), nullptr, nullptr);
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  EXPECT_TRUE(probe->changed);
+  EXPECT_EQ(probe->stats.whole_job_hits, 0u);
+  EXPECT_EQ(probe->stats.prefix_hits, 1u);
+  // J2's whole-job probe, then the ladder's k = 2 miss and k = 1 hit.
+  EXPECT_EQ(probe->stats.lookups, 3u) << probe->stats.ToString();
+  const std::string scan = "reuse:" + CostKeyToHex(k1);
+  ASSERT_EQ(probe->materialized_lineage.count(scan), 1u);
+  EXPECT_EQ(probe->materialized_lineage.at(scan), k1);
+  const BranchInput& rewired =
+      (*probe->plan.GetJob("J2"))->branches[0].inputs[0];
+  EXPECT_EQ(rewired.dataset_id, scan);
+  ASSERT_EQ(rewired.map_stages.size(), 1u);
+  EXPECT_EQ(rewired.map_stages[0].name(), original.map_stages[1].name());
 }
 
 TEST(ReuseSessionTest, RepeatedWorkflowIsElidedWholesale) {

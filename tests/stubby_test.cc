@@ -336,18 +336,11 @@ TEST_F(ThreadCountInvariance, ReuseAwareSearchIsBitIdentical) {
     auto report = StubbyOptimizer(opts).Optimize(w->plan);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_GT(report->reuse.search_probes, 0u) << report->reuse.ToString();
-    // The signature memo must be doing real work: hits mean candidates
-    // shared signatures, and misses bound the digest computations well
-    // below one per configured candidate.
-    EXPECT_GT(report->reuse.probe_cache_hits, 0u) << report->reuse.ToString();
     if (!ref) {
       ref = std::move(*report);
       ref_store = store->Serialize();
       continue;
     }
-    // reuse.ToString() covers the probe_cache hit/miss counters too: the
-    // memo is pre-seeded serially and overlay-merged in candidate order,
-    // so even its observability counters are width-invariant.
     EXPECT_EQ(PlanSignature(report->plan), PlanSignature(ref->plan));
     EXPECT_EQ(report->estimated_cost, ref->estimated_cost);
     EXPECT_EQ(report->applied, ref->applied);
@@ -355,79 +348,6 @@ TEST_F(ThreadCountInvariance, ReuseAwareSearchIsBitIdentical) {
     ExpectSameCounters(report->costing, ref->costing);
     EXPECT_EQ(store->Serialize(), *ref_store);
   }
-}
-
-TEST_F(ThreadCountInvariance, ProbeCacheIsTransparent) {
-  // The signature memo is pure wall-time: with the cache off, the chosen
-  // plan, cost bits, applied trail, store mutations, and every reuse
-  // counter except the probe_cache observability pair must be identical —
-  // and the pair itself must read all-zero.
-  auto w = MakeProfiledBR();
-  ASSERT_TRUE(w.ok()) << w.status();
-
-  ResultStore warm;
-  ReuseSession warmup(&warm);
-  StubbyOptions base_opts;
-  base_opts.reuse_whole_workflow = false;
-  auto first = warmup.Run(w->plan, w->dfs, base_opts);
-  ASSERT_TRUE(first.ok()) << first.status();
-  const std::string warm_bytes = warm.Serialize();
-
-  auto run = [&](bool memo) -> Result<std::pair<OptimizeReport, std::string>> {
-    STUBBY_ASSIGN_OR_RETURN(ResultStore store,
-                            ResultStore::Deserialize(warm_bytes));
-    ThreadPool pool(4);
-    StubbyOptions opts = base_opts;
-    opts.reuse_store = &store;
-    opts.reuse_dfs = &w->dfs;
-    opts.pool = &pool;
-    opts.reuse_probe_cache = memo;
-    STUBBY_ASSIGN_OR_RETURN(OptimizeReport report,
-                            StubbyOptimizer(opts).Optimize(w->plan));
-    return std::make_pair(std::move(report), store.Serialize());
-  };
-  auto with = run(true);
-  ASSERT_TRUE(with.ok()) << with.status();
-  auto without = run(false);
-  ASSERT_TRUE(without.ok()) << without.status();
-
-  const OptimizeReport& a = with->first;
-  const OptimizeReport& b = without->first;
-  EXPECT_EQ(PlanSignature(a.plan), PlanSignature(b.plan));
-  EXPECT_EQ(a.estimated_cost, b.estimated_cost);
-  EXPECT_EQ(a.applied, b.applied);
-  ExpectSameCounters(a.costing, b.costing);
-  EXPECT_EQ(with->second, without->second);  // identical store mutations
-
-  EXPECT_GT(a.reuse.probe_cache_hits, 0u) << a.reuse.ToString();
-  EXPECT_EQ(b.reuse.probe_cache_hits, 0u) << b.reuse.ToString();
-  EXPECT_EQ(b.reuse.probe_cache_misses, 0u) << b.reuse.ToString();
-  // The memo must strictly reduce signature digest computations on BR.
-  EXPECT_LT(a.reuse.signature_keys_computed, b.reuse.signature_keys_computed);
-  ReuseStats masked = a.reuse;
-  masked.probe_cache_hits = b.reuse.probe_cache_hits;
-  masked.probe_cache_misses = b.reuse.probe_cache_misses;
-  masked.signature_keys_computed = b.reuse.signature_keys_computed;
-  EXPECT_EQ(masked.ToString(), b.reuse.ToString());
-}
-
-TEST_F(ThreadCountInvariance, OwnedPoolViaThreadsOptionMatchesBorrowedPool) {
-  auto w = MakeProfiledBR();
-  ASSERT_TRUE(w.ok()) << w.status();
-
-  StubbyOptions serial;
-  auto base = StubbyOptimizer(serial).Optimize(w->plan);
-  ASSERT_TRUE(base.ok());
-
-  StubbyOptions owned;
-  owned.threads = 2;  // optimizer creates (and owns) the pool itself
-  auto parallel = StubbyOptimizer(owned).Optimize(w->plan);
-  ASSERT_TRUE(parallel.ok());
-
-  EXPECT_EQ(PlanSignature(parallel->plan), PlanSignature(base->plan));
-  EXPECT_EQ(parallel->estimated_cost, base->estimated_cost);
-  EXPECT_EQ(parallel->applied, base->applied);
-  ExpectSameCounters(parallel->costing, base->costing);
 }
 
 TEST(StubbyTest, ReportsOverheadAndUnits) {

@@ -1,8 +1,8 @@
 // Tests of the deterministic task-parallel core: the work-stealing
-// ThreadPool and its fork-join primitives, the CostCacheOverlay and
-// ProbeCacheOverlay snapshot/merge protocols, and the batch-structured
-// RRS — the pieces whose contract is "any thread count, any steal
-// schedule, identical bits".
+// ThreadPool and its fork-join primitives, the CostCacheOverlay
+// snapshot/merge protocol, and the batch-structured RRS — the pieces
+// whose contract is "any thread count, any steal schedule, identical
+// bits".
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "common/threading.h"
 #include "cost/cost_cache.h"
 #include "optimizer/rrs.h"
-#include "reuse/probe_cache.h"
 
 namespace stubby {
 namespace {
@@ -511,67 +510,6 @@ TEST(CostCacheOverlayTest, SnapshotMergeMatchesSerialExecution) {
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->cost, b->cost);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ProbeCacheOverlay
-
-TEST(ProbeCacheTest, InsertIsFirstWriteWins) {
-  ReuseProbeCache cache;
-  EXPECT_EQ(cache.Peek(Key(1)), nullptr);
-  cache.Insert(Key(1), Key(10));
-  cache.Insert(Key(1), Key(99));  // loses: signatures are content-addressed
-  ASSERT_NE(cache.Peek(Key(1)), nullptr);
-  EXPECT_EQ(*cache.Peek(Key(1)), Key(10));
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ProbeCacheOverlayTest, ReadsFallThroughWritesStayLocal) {
-  ReuseProbeCache cache;
-  cache.Insert(Key(1), Key(10));
-  ProbeCacheOverlay overlay(&cache);
-  ASSERT_NE(overlay.Peek(Key(1)), nullptr);
-  EXPECT_EQ(*overlay.Peek(Key(1)), Key(10));
-  overlay.Insert(Key(2), Key(20));
-  ASSERT_NE(overlay.Peek(Key(2)), nullptr);
-  // The shared memo must not see the overlay's write until the merge.
-  EXPECT_EQ(cache.Peek(Key(2)), nullptr);
-  overlay.MergeInto(&cache);
-  ASSERT_NE(cache.Peek(Key(2)), nullptr);
-  EXPECT_EQ(*cache.Peek(Key(2)), Key(20));
-}
-
-TEST(ProbeCacheOverlayTest, MergedContentsMatchSerialExecution) {
-  // Overlapping inserts from overlay tasks, merged in submission order,
-  // must leave exactly the contents a serial run writing the shared memo
-  // directly would have produced (insert-only makes any order agree).
-  ReuseProbeCache direct;
-  for (uint64_t task = 0; task < 4; ++task) {
-    for (uint64_t k = 0; k < 3; ++k) {
-      if (direct.Peek(Key(k + task)) == nullptr) {
-        direct.Insert(Key(k + task), Key(100 + k + task));
-      }
-    }
-  }
-  ReuseProbeCache merged;
-  std::vector<std::unique_ptr<ProbeCacheOverlay>> overlays;
-  for (uint64_t task = 0; task < 4; ++task) {
-    overlays.push_back(std::make_unique<ProbeCacheOverlay>(&merged));
-    for (uint64_t k = 0; k < 3; ++k) {
-      if (overlays.back()->Peek(Key(k + task)) == nullptr) {
-        overlays.back()->Insert(Key(k + task), Key(100 + k + task));
-      }
-    }
-  }
-  for (const auto& o : overlays) o->MergeInto(&merged);
-  EXPECT_EQ(merged.size(), direct.size());
-  for (uint64_t n = 0; n < 6; ++n) {
-    const CostKey* a = direct.Peek(Key(n));
-    const CostKey* b = merged.Peek(Key(n));
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(*a, *b);
   }
 }
 
