@@ -95,7 +95,6 @@ inline Result<double> Execute(const PreparedWorkload& pw, const Plan& plan,
 inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
                                               bool vertical, bool horizontal,
                                               uint64_t seed = 17,
-                                              bool enable_cache = true,
                                               ThreadPool* pool = nullptr) {
   StubbyOptions opts;
   opts.columnar_storage = ColumnarStorageFromEnv();
@@ -106,7 +105,6 @@ inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
   // groups (Section 4).
   opts.enable_partition_function = vertical || horizontal;
   opts.enable_configuration = true;
-  opts.enable_cost_cache = enable_cache;
   opts.unit.seed = seed;
   opts.pool = pool;
   StubbyOptimizer optimizer(opts);
@@ -127,9 +125,7 @@ inline Json InstrumentationJson(const CostInstrumentation& c) {
   j["plan_cache_hits"] = c.plan_cache_hits;
   j["plan_cache_misses"] = c.plan_cache_misses;
   j["full_predictions"] = c.full_predictions;
-  j["incremental_predictions"] = c.incremental_predictions;
   j["job_predictions"] = c.job_predictions;
-  j["job_cache_hits"] = c.job_cache_hits;
   j["rrs_evaluations"] = c.rrs_evaluations;
   return j;
 }

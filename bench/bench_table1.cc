@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   ThreadPool pool(threads);
 
   std::printf("Table 1: MapReduce workflows and corresponding data sizes\n");
-  std::printf("%-6s %-32s %6s %10s %14s %10s %10s\n", "Abbr.", "Workflow",
-              "Jobs", "Size", "Sample rows", "Opt(off)", "Opt(on)");
+  std::printf("%-6s %-32s %6s %10s %14s %10s\n", "Abbr.", "Workflow",
+              "Jobs", "Size", "Sample rows", "Optimize");
 
   const std::vector<std::string> abbrs = AllWorkloadAbbrs();
   struct WorkloadRow {
@@ -40,22 +40,17 @@ int main(int argc, char** argv) {
       if (stored.ok()) sample_rows += (*stored)->num_rows();
     }
 
-    // End-to-end optimizer wall time with the costing cache off and on
-    // (the memo is the only difference; outputs are bit-identical).
     auto pw = Prepare(abbr, 6000);
     STUBBY_CHECK_OK(pw.status());
-    auto off = RunStubbyReport(*pw, true, true, 17, /*enable_cache=*/false);
-    STUBBY_CHECK_OK(off.status());
-    auto on = RunStubbyReport(*pw, true, true, 17, /*enable_cache=*/true);
-    STUBBY_CHECK_OK(on.status());
+    auto report = RunStubbyReport(*pw, true, true);
+    STUBBY_CHECK_OK(report.status());
 
     char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%-6s %-32s %6zu %10s %14llu %9.3fs %9.3fs\n",
+    std::snprintf(line, sizeof(line), "%-6s %-32s %6zu %10s %14llu %9.3fs\n",
                   w->abbr.c_str(), w->name.c_str(), w->plan.num_jobs(),
                   HumanBytes(w->dataset_logical_bytes).c_str(),
-                  (unsigned long long)sample_rows, off->optimization_time_sec,
-                  on->optimization_time_sec);
+                  (unsigned long long)sample_rows,
+                  report->optimization_time_sec);
     results[i].line = line;
 
     Json row = Json::Object();
@@ -64,10 +59,8 @@ int main(int argc, char** argv) {
     row["jobs"] = static_cast<uint64_t>(w->plan.num_jobs());
     row["logical_bytes"] = w->dataset_logical_bytes;
     row["sample_rows"] = sample_rows;
-    row["optimizer_wall_sec_cache_off"] = off->optimization_time_sec;
-    row["optimizer_wall_sec_cache_on"] = on->optimization_time_sec;
-    row["cache_off"] = ReportJson(*off);
-    row["cache_on"] = ReportJson(*on);
+    row["optimizer_wall_sec"] = report->optimization_time_sec;
+    row["optimizer"] = ReportJson(*report);
     results[i].row = std::move(row);
   });
   const double total_wall = SecondsSince(t0);

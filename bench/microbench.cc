@@ -209,49 +209,6 @@ void BM_PlanSignature(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanSignature);
 
-// Cache-on vs. cache-off optimizer runs on the BR workflow (the paper's
-// Figure 1 running example): verifies transparency and reports how much of
-// the costing work the memo eliminated.
-bool RunCostCacheStudy(Json* doc) {
-  using namespace stubby::bench;
-  std::printf("\nCost-cache study (BR, the Figure 1 running example)\n");
-  auto pw = Prepare("BR", 6000);
-  STUBBY_CHECK_OK(pw.status());
-
-  auto off = RunStubbyReport(*pw, true, true, 17, /*enable_cache=*/false);
-  STUBBY_CHECK_OK(off.status());
-  auto on = RunStubbyReport(*pw, true, true, 17, /*enable_cache=*/true);
-  STUBBY_CHECK_OK(on.status());
-
-  const bool transparent =
-      off->estimated_cost == on->estimated_cost &&
-      PlanSignature(off->plan) == PlanSignature(on->plan) &&
-      off->applied == on->applied;
-  const double off_full = static_cast<double>(off->costing.full_predictions);
-  const double on_full = static_cast<double>(
-      std::max<uint64_t>(1, on->costing.full_predictions));
-  const double reduction = off_full / on_full;
-
-  std::printf("  cache off: %s\n", off->costing.ToString().c_str());
-  std::printf("  cache on : %s\n", on->costing.ToString().c_str());
-  std::printf("  transparency (plan, cost, applied): %s\n",
-              transparent ? "IDENTICAL" : "MISMATCH");
-  std::printf("  full-plan dataflow predictions: %.0f -> %llu (%.1fx fewer)\n",
-              off_full, (unsigned long long)on->costing.full_predictions,
-              reduction);
-  std::printf("  optimizer wall time: %.3fs -> %.3fs\n",
-              off->optimization_time_sec, on->optimization_time_sec);
-
-  Json study = Json::Object();
-  study["workload"] = "BR";
-  study["transparent"] = transparent;
-  study["full_prediction_reduction"] = reduction;
-  study["cache_off"] = ReportJson(*off);
-  study["cache_on"] = ReportJson(*on);
-  (*doc)["cost_cache"] = std::move(study);
-  return transparent && reduction >= 2.0;
-}
-
 // Executor and optimizer wall time at 1/2/4/8 worker threads on BR.
 // Results must be bit-identical at every thread count (the determinism
 // invariant of the task-parallel core); the speedups depend on the host's
@@ -285,7 +242,7 @@ bool RunThreadScalingStudy(Json* doc) {
       if (rep == 0 || wall < exec_wall) exec_wall = wall;
       makespan = *m;
     }
-    auto report = RunStubbyReport(*pw, true, true, 17, true, &pool);
+    auto report = RunStubbyReport(*pw, true, true, 17, &pool);
     STUBBY_CHECK_OK(report.status());
     const double opt_wall = report->optimization_time_sec;
     const std::string sig = PlanSignature(report->plan);
@@ -852,7 +809,6 @@ int main(int argc, char** argv) {
   Json doc = Json::Object();
   doc["bench"] = "microbench";
   bool ok = true;
-  if (StudyEnabled("cost_cache")) ok = RunCostCacheStudy(&doc) && ok;
   if (StudyEnabled("thread_scaling")) ok = RunThreadScalingStudy(&doc) && ok;
   if (StudyEnabled("skewed_batch")) ok = RunSkewedBatchStudy(&doc) && ok;
   if (StudyEnabled("vectorized_exec")) ok = RunVectorizedExecStudy(&doc) && ok;

@@ -28,9 +28,7 @@ int ThreadPool::HardwareThreads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-ThreadPool::ThreadPool(int threads, Options options)
-    : threads_(std::max(1, threads)), options_(options) {
-  if (options_.chunks_per_thread < 1) options_.chunks_per_thread = 1;
+ThreadPool::ThreadPool(int threads) : threads_(std::max(1, threads)) {
   workers_.reserve(static_cast<size_t>(threads_ - 1));
   for (int i = 1; i < threads_; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
@@ -173,11 +171,11 @@ void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn,
   batch->fn = &fn;
   batch->first = self;
   batch->deques = std::make_unique<Deque[]>(k);
-  // Chunk size is a pure function of (n, threads, chunks_per_thread) —
-  // never of load, timing or depth. Chunking cannot affect results (every
-  // index runs exactly once, into its own slot); it only trades scheduling
-  // overhead against steal granularity.
-  const size_t target = k * options_.chunks_per_thread;
+  // Chunk size is a pure function of (n, threads) — never of load, timing
+  // or depth. Chunking cannot affect results (every index runs exactly
+  // once, into its own slot); it only trades scheduling overhead against
+  // steal granularity.
+  const size_t target = k * kChunksPerThread;
   batch->chunk = std::max<size_t>(1, (n + target - 1) / target);
   const size_t nchunks = (n + batch->chunk - 1) / batch->chunk;
   // Dealt round-robin from the forker's deque before the batch is

@@ -50,15 +50,10 @@ namespace stubby {
 /// scheduling depth moves wall time only, never results.
 class ThreadPool {
  public:
-  /// Scheduling knobs. None of these can affect computed results — they
-  /// only move work between threads — so they are safe to flip per pool
-  /// for measurement.
-  struct Options {
-    /// Target chunks dealt per participant. More chunks = finer stealing
-    /// granularity, more scheduling overhead. The chunk size derived from
-    /// this is a pure function of (n, threads, chunks_per_thread).
-    size_t chunks_per_thread = 4;
-  };
+  /// Target chunks dealt per participant. More chunks = finer stealing
+  /// granularity, more scheduling overhead. The chunk size derived from
+  /// this is a pure function of (n, threads), so it cannot affect results.
+  static constexpr size_t kChunksPerThread = 4;
 
   /// Cumulative scheduling counters. Observability only: steals and the
   /// time totals depend on thread timing, so they must never feed any
@@ -79,15 +74,13 @@ class ThreadPool {
 
   /// Spawns `threads - 1` workers (the calling thread participates in every
   /// batch, so `threads` is the true parallel width). Values < 1 clamp to 1.
-  explicit ThreadPool(int threads) : ThreadPool(threads, Options{}) {}
-  ThreadPool(int threads, Options options);
+  explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int threads() const { return threads_; }
-  const Options& options() const { return options_; }
 
   /// Snapshot of the cumulative scheduling counters (racy with an
   /// in-flight batch only in the sense of being mid-batch fresh).
@@ -166,7 +159,6 @@ class ThreadPool {
   std::shared_ptr<Batch> FindWork() const;
 
   int threads_ = 1;
-  Options options_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // workers: a batch arrived / shutdown

@@ -184,14 +184,6 @@ CostDigest JobContentDigest(const JobVertex& job) {
   return d;
 }
 
-void MixPredictedDataset(CostDigest* d, const PredictedDataset& p) {
-  d->Mix(p.records);
-  d->Mix(p.bytes);
-  d->Mix(p.stored_bytes);
-  d->Mix(static_cast<uint64_t>(p.partitions));
-  d->Mix(p.max_partition_fraction);
-}
-
 namespace {
 
 /// Mixes the base datasets' size/layout annotations (everything
@@ -215,16 +207,13 @@ void MixBaseDatasets(CostDigest* d, const Plan& plan) {
 
 }  // namespace
 
-CostKey PlanCostDigest(const Plan& plan,
-                       std::map<std::string, CostDigest>* job_digests) {
+CostKey PlanCostDigest(const Plan& plan) {
   CostDigest d;
   d.Mix(static_cast<uint64_t>(plan.num_jobs()));
   for (const auto& [jid, job] : plan.jobs()) {
-    CostDigest jd = JobContentDigest(job);
-    CostKey k = jd.value();
+    CostKey k = JobContentDigest(job).value();
     d.Mix(k.first);
     d.Mix(k.second);
-    if (job_digests != nullptr) job_digests->emplace(jid, jd);
   }
   MixBaseDatasets(&d, plan);
   return d.value();
@@ -258,30 +247,25 @@ void CostInstrumentation::Add(const CostInstrumentation& other) {
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
   full_predictions += other.full_predictions;
-  incremental_predictions += other.incremental_predictions;
   job_predictions += other.job_predictions;
-  job_cache_hits += other.job_cache_hits;
   rrs_evaluations += other.rrs_evaluations;
   reuse_priced_candidates += other.reuse_priced_candidates;
 }
 
 std::string CostInstrumentation::ToString() const {
   return StrFormat(
-      "whatif=%llu plan_hits=%llu plan_misses=%llu full=%llu incr=%llu "
-      "job_pred=%llu job_hits=%llu rrs=%llu reuse_priced=%llu",
+      "whatif=%llu plan_hits=%llu plan_misses=%llu full=%llu job_pred=%llu "
+      "rrs=%llu reuse_priced=%llu",
       (unsigned long long)whatif_invocations,
       (unsigned long long)plan_cache_hits,
       (unsigned long long)plan_cache_misses,
       (unsigned long long)full_predictions,
-      (unsigned long long)incremental_predictions,
       (unsigned long long)job_predictions,
-      (unsigned long long)job_cache_hits,
       (unsigned long long)rrs_evaluations,
       (unsigned long long)reuse_priced_candidates);
 }
 
-CostCache::CostCache(Options options)
-    : plans_(options.plan_capacity), jobs_(options.job_capacity) {}
+CostCache::CostCache(Options options) : plans_(options.plan_capacity) {}
 
 const CostEstimate* CostCacheOverlay::PeekPlan(const CostKey& key) const {
   auto it = plans_.find(key);
@@ -289,59 +273,29 @@ const CostEstimate* CostCacheOverlay::PeekPlan(const CostKey& key) const {
   return parent_ != nullptr ? parent_->PeekPlan(key) : nullptr;
 }
 
-const CostJobEntry* CostCacheOverlay::PeekJob(const CostKey& key) const {
-  auto it = jobs_.find(key);
-  if (it != jobs_.end()) return &it->second;
-  return parent_ != nullptr ? parent_->PeekJob(key) : nullptr;
-}
-
 const CostEstimate* CostCacheOverlay::FindPlan(const CostKey& key) {
   const CostEstimate* hit = PeekPlan(key);
-  if (hit != nullptr) journal_.emplace_back(Op::kTouchPlan, key);
+  if (hit != nullptr) journal_.emplace_back(Op::kTouch, key);
   return hit;
 }
 
 void CostCacheOverlay::InsertPlan(const CostKey& key, CostEstimate est) {
-  journal_.emplace_back(Op::kInsertPlan, key);
+  journal_.emplace_back(Op::kInsert, key);
   plans_[key] = std::move(est);
 }
 
 void CostCacheOverlay::TouchPlan(const CostKey& key) {
-  journal_.emplace_back(Op::kTouchPlan, key);
-}
-
-const CostJobEntry* CostCacheOverlay::FindJob(const CostKey& key) {
-  const CostJobEntry* hit = PeekJob(key);
-  if (hit != nullptr) journal_.emplace_back(Op::kTouchJob, key);
-  return hit;
-}
-
-void CostCacheOverlay::InsertJob(const CostKey& key, CostJobEntry entry) {
-  journal_.emplace_back(Op::kInsertJob, key);
-  jobs_[key] = std::move(entry);
-}
-
-void CostCacheOverlay::TouchJob(const CostKey& key) {
-  journal_.emplace_back(Op::kTouchJob, key);
+  journal_.emplace_back(Op::kTouch, key);
 }
 
 void CostCacheOverlay::MergeInto(CostStore* store) const {
   for (const auto& [op, key] : journal_) {
-    switch (op) {
-      case Op::kTouchPlan:
-        store->TouchPlan(key);
-        break;
-      case Op::kInsertPlan:
-        // Repeated inserts of one key replay the final value each time —
-        // transparency makes them bit-identical anyway.
-        store->InsertPlan(key, plans_.at(key));
-        break;
-      case Op::kTouchJob:
-        store->TouchJob(key);
-        break;
-      case Op::kInsertJob:
-        store->InsertJob(key, jobs_.at(key));
-        break;
+    if (op == Op::kTouch) {
+      store->TouchPlan(key);
+    } else {
+      // Repeated inserts of one key replay the final value each time —
+      // transparency makes them bit-identical anyway.
+      store->InsertPlan(key, plans_.at(key));
     }
   }
 }

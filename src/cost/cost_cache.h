@@ -1,40 +1,37 @@
-// Transparent costing cache for the what-if engine (Section 6: "Stubby
+// Transparent costing memo for the what-if engine (Section 6: "Stubby
 // stores and reuses the costs of the common subexpressions among
-// subplans"). Two layers of memoization:
+// subplans"): CostEstimates keyed by a digest of everything the what-if
+// engine reads from a plan (job structure, stage statistics,
+// configurations, base dataset annotations). Repeated costing of the same
+// plan — the base plan of every unit, re-evaluated RRS seed points, the
+// final report costing, and every plan an earlier request already priced —
+// returns the stored estimate.
 //
-//   1. A whole-plan memo: CostEstimates keyed by a digest of everything the
-//      what-if engine reads from a plan (job structure, stage statistics,
-//      configurations, base dataset annotations). Repeated costing of the
-//      same plan — the base plan of every unit, re-evaluated RRS seed
-//      points, the final report costing — returns the stored estimate.
+// One owner: stubbyd keeps one CostCache for the life of the service and
+// lends it to each request through StubbyOptions::cost_cache, so requests
+// reuse each other's estimates. A plain StubbyOptimizer::Optimize call
+// prices without a memo.
 //
-//   2. A per-job incremental memo: PredictJob results (dataflow, task
-//      times, and the output-dataset size predictions) keyed by the job's
-//      content digest plus the digests of its input PredictedDatasets. An
-//      RRS point evaluation perturbs only the unit's job configurations,
-//      so every job outside the unit — and outside the unit's downstream
-//      cone — replays from the memo instead of being re-predicted.
+// Transparent: cached and uncached costing produce bit-identical
+// CostEstimates (entries store the exact structs that the engine computed,
+// and digests cover every input the computation reads). Capacity-bounded
+// with LRU eviction; an evicted entry is simply recomputed, which yields
+// the same bits again.
 //
-// Both layers are transparent: cached and uncached costing produce
-// bit-identical CostEstimates (entries store the exact structs that the
-// engine computed, and digests cover every input the computation reads).
-// Capacity-bounded with LRU eviction; an evicted entry is simply
-// recomputed, which yields the same bits again.
-//
-// Concurrency model. CostCache is internally synchronized (the memo maps
-// are sharded, each shard behind its own mutex), so stray concurrent use
-// is memory-safe — but lock interleaving alone cannot make hit/miss
-// counters or LRU victims deterministic. Parallel optimizer stages
-// therefore use the snapshot/overlay protocol instead: the shared cache is
-// frozen for the duration of a task batch (readers go through PeekPlan /
-// PeekJob, which never mutate recency), each task routes its reads and
-// writes through a private CostCacheOverlay, and after the batch the
-// overlays merge into the shared cache serially in task submission order.
-// Every task sees exactly the frozen snapshot plus its own writes, and the
-// merged cache state is a pure function of the submission order — so
-// costing results AND instrumentation counters are bit-identical for any
-// thread count. The protocol is applied identically in single-threaded
-// runs, making thread count unobservable.
+// Concurrency model. CostCache is internally synchronized (the memo map is
+// sharded, each shard behind its own mutex), so stray concurrent use is
+// memory-safe — but lock interleaving alone cannot make hit/miss counters
+// or LRU victims deterministic. Parallel optimizer stages therefore use
+// the snapshot/overlay protocol instead: the shared cache is frozen for the
+// duration of a task batch (readers go through PeekPlan, which never
+// mutates recency), each task routes its reads and writes through a
+// private CostCacheOverlay, and after the batch the overlays merge into the
+// shared cache serially in task submission order. Every task sees exactly
+// the frozen snapshot plus its own writes, and the merged cache state is a
+// pure function of the submission order — so costing results AND
+// instrumentation counters are bit-identical for any thread count. The
+// protocol is applied identically in single-threaded runs, making thread
+// count unobservable.
 
 #pragma once
 
@@ -48,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "cost/phase_model.h"
 #include "cost/whatif.h"
 #include "workflow/plan.h"
 
@@ -66,9 +62,8 @@ struct CostKeyHash {
   }
 };
 
-/// Incremental 128-bit mixer over the cost-relevant content of plans, jobs,
-/// and predicted datasets. Order-sensitive: Mix(a), Mix(b) differs from
-/// Mix(b), Mix(a).
+/// Incremental 128-bit mixer over the cost-relevant content of plans and
+/// jobs. Order-sensitive: Mix(a), Mix(b) differs from Mix(b), Mix(a).
 class CostDigest {
  public:
   CostDigest& Mix(uint64_t v);
@@ -87,9 +82,8 @@ class CostDigest {
 /// Digest over everything WhatIfEngine::PredictJob and the phase-time model
 /// read from the job itself: id, configuration, effective reduce tasks,
 /// branch structure, stage statistics, partition specs, prune lists, and
-/// profile annotations. Input dataset predictions are mixed in separately
-/// by the caller (they vary per plan evaluation). Equivalent to
-/// JobStructureDigest followed by MixJobConfiguration.
+/// profile annotations. Equivalent to JobStructureDigest followed by
+/// MixJobConfiguration.
 CostDigest JobContentDigest(const JobVertex& job);
 
 /// The configuration-independent prefix of JobContentDigest: id and branch
@@ -103,10 +97,6 @@ CostDigest JobStructureDigest(const JobVertex& job);
 /// JobContentDigest(job).
 void MixJobConfiguration(CostDigest* d, const JobVertex& job);
 
-/// Mixes one input PredictedDataset (all five fields, bit-exact) into a
-/// job digest.
-void MixPredictedDataset(CostDigest* d, const PredictedDataset& p);
-
 /// Mixes one Value (type tag + payload, bit-exact for doubles). Exposed for
 /// digests over row contents — the reuse subsystem's dataset content keys.
 void MixValueDigest(CostDigest* d, const Value& v);
@@ -118,12 +108,7 @@ void MixPartitionSpecDigest(CostDigest* d, const PartitionSpec& p);
 /// Digest over everything WhatIfEngine::Cost reads from a plan: every
 /// job's content digest plus the base datasets' size/layout annotations.
 /// Graph topology is covered through the jobs' input/output dataset ids.
-/// When `job_digests` is given, the per-job content digests are also
-/// deposited there so the caller can reuse them for job-memo keys instead
-/// of digesting every job a second time.
-CostKey PlanCostDigest(const Plan& plan,
-                       std::map<std::string, CostDigest>* job_digests =
-                           nullptr);
+CostKey PlanCostDigest(const Plan& plan);
 
 /// Content digests of every job in the plan, keyed by job id. A caller
 /// that re-costs many single-job variations of one plan (the RRS loop)
@@ -145,12 +130,11 @@ struct CostInstrumentation {
   /// attached; without a cache every Cost call is a full computation).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  /// Dataflow prediction passes that predicted every job from scratch vs.
-  /// passes that replayed at least one job from the memo.
+  /// Dataflow prediction passes (each predicts every job it reaches).
   uint64_t full_predictions = 0;
-  uint64_t incremental_predictions = 0;
-  /// Individual jobs predicted fresh vs. replayed from the memo.
+  /// Individual job predictions.
   uint64_t job_predictions = 0;
+  /// Always 0; perfbench/ reports it. Delete with the next perfbench/ change.
   uint64_t job_cache_hits = 0;
   /// RRS configuration-point evaluations (counted by the unit optimizer).
   uint64_t rrs_evaluations = 0;
@@ -164,14 +148,6 @@ struct CostInstrumentation {
   std::string ToString() const;
 };
 
-/// One memoized PredictJob outcome: the dataflow, the task times derived
-/// from it, and the size predictions the job recorded for its outputs.
-struct CostJobEntry {
-  JobDataflow dataflow;
-  JobTaskTimes times;
-  std::vector<std::pair<std::string, PredictedDataset>> outputs;
-};
-
 /// Read-only view of a costing memo: lookups that never change recency or
 /// contents. This is how overlay tasks read the frozen shared cache (and
 /// how overlays chain). Returned pointers stay valid while the source is
@@ -180,7 +156,6 @@ class CostSource {
  public:
   virtual ~CostSource() = default;
   virtual const CostEstimate* PeekPlan(const CostKey& key) const = 0;
-  virtual const CostJobEntry* PeekJob(const CostKey& key) const = 0;
 };
 
 /// Mutable costing memo: what WhatIfEngine drives. Find refreshes LRU
@@ -192,15 +167,10 @@ class CostStore : public CostSource {
   virtual const CostEstimate* FindPlan(const CostKey& key) = 0;
   virtual void InsertPlan(const CostKey& key, CostEstimate est) = 0;
   virtual void TouchPlan(const CostKey& key) = 0;
-
-  virtual const CostJobEntry* FindJob(const CostKey& key) = 0;
-  virtual void InsertJob(const CostKey& key, CostJobEntry entry) = 0;
-  virtual void TouchJob(const CostKey& key) = 0;
 };
 
-/// The two memo layers plus eviction bookkeeping. One instance lives for
-/// the duration of one StubbyOptimizer::Optimize call, shared across
-/// phases and units. Sharded: keys map to one of up to 16 shards (the
+/// The whole-plan memo plus eviction bookkeeping. stubbyd owns one for the
+/// life of the service. Sharded: keys map to one of up to 16 shards (the
 /// count derives from the capacity, never from the thread count), each an
 /// independently locked LRU map — concurrent Peeks never contend across
 /// shards, and caches small enough to need global LRU order (capacity
@@ -209,14 +179,13 @@ class CostCache final : public CostStore {
  public:
   struct Options {
     size_t plan_capacity = 1024;
-    size_t job_capacity = 16384;
   };
 
   CostCache() : CostCache(Options{}) {}
   explicit CostCache(Options options);
 
-  /// Whole-plan memo. Find refreshes LRU recency; the returned pointer is
-  /// valid until the next Insert into the key's shard.
+  /// Find refreshes LRU recency; the returned pointer is valid until the
+  /// next Insert into the key's shard.
   const CostEstimate* FindPlan(const CostKey& key) override {
     return plans_.Find(key);
   }
@@ -228,21 +197,8 @@ class CostCache final : public CostStore {
     return plans_.Peek(key);
   }
 
-  const CostJobEntry* FindJob(const CostKey& key) override {
-    return jobs_.Find(key);
-  }
-  void InsertJob(const CostKey& key, CostJobEntry entry) override {
-    jobs_.Insert(key, std::move(entry));
-  }
-  void TouchJob(const CostKey& key) override { jobs_.Touch(key); }
-  const CostJobEntry* PeekJob(const CostKey& key) const override {
-    return jobs_.Peek(key);
-  }
-
   size_t plan_entries() const { return plans_.size(); }
-  size_t job_entries() const { return jobs_.size(); }
   uint64_t plan_evictions() const { return plans_.evictions(); }
-  uint64_t job_evictions() const { return jobs_.evictions(); }
 
  private:
   template <typename V>
@@ -366,7 +322,6 @@ class CostCache final : public CostStore {
   };
 
   ShardedLru<CostEstimate> plans_;
-  ShardedLru<CostJobEntry> jobs_;
 };
 
 /// A task-private write layer over a frozen CostSource: reads fall through
@@ -385,15 +340,9 @@ class CostCacheOverlay final : public CostStore {
   explicit CostCacheOverlay(const CostSource* parent) : parent_(parent) {}
 
   const CostEstimate* PeekPlan(const CostKey& key) const override;
-  const CostJobEntry* PeekJob(const CostKey& key) const override;
-
   const CostEstimate* FindPlan(const CostKey& key) override;
   void InsertPlan(const CostKey& key, CostEstimate est) override;
   void TouchPlan(const CostKey& key) override;
-
-  const CostJobEntry* FindJob(const CostKey& key) override;
-  void InsertJob(const CostKey& key, CostJobEntry entry) override;
-  void TouchJob(const CostKey& key) override;
 
   /// Replays this overlay's journal into `store` in access order: touches
   /// re-assert recency, inserts write the overlay's (final) value. Call
@@ -401,11 +350,10 @@ class CostCacheOverlay final : public CostStore {
   void MergeInto(CostStore* store) const;
 
  private:
-  enum class Op : uint8_t { kTouchPlan, kInsertPlan, kTouchJob, kInsertJob };
+  enum class Op : uint8_t { kTouch, kInsert };
 
   const CostSource* parent_;
   std::unordered_map<CostKey, CostEstimate, CostKeyHash> plans_;
-  std::unordered_map<CostKey, CostJobEntry, CostKeyHash> jobs_;
   std::vector<std::pair<Op, CostKey>> journal_;
 };
 

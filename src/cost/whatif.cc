@@ -461,12 +461,6 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
 
 Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
     const Plan& plan) const {
-  return PredictDataflowImpl(plan, nullptr);
-}
-
-Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
-    const Plan& plan,
-    const std::map<std::string, CostDigest>* job_digests) const {
   // Seed predictions from base dataset annotations.
   std::map<std::string, PredictedDataset> predicted;
   for (const auto& [id, ds] : plan.datasets()) {
@@ -498,18 +492,10 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
                           plan.TopologicalOrder());
   WorkflowDataflow flow;
   std::vector<ScheduledJob> scheduled;
-  uint64_t replayed = 0;
-  uint64_t predicted_fresh = 0;
-  // Counts this pass as full (every job predicted from scratch) or
-  // incremental (at least one job replayed from the memo) once any
-  // job-level work happened.
+  // Counts this pass once any job was predicted, even when a later job
+  // fails.
   auto count_pass = [&] {
-    if (stats_ == nullptr || (replayed == 0 && predicted_fresh == 0)) return;
-    if (replayed == 0) {
-      ++stats_->full_predictions;
-    } else {
-      ++stats_->incremental_predictions;
-    }
+    if (stats_ != nullptr && !scheduled.empty()) ++stats_->full_predictions;
   };
   for (const auto& jid : order) {
     auto job_or = plan.GetJob(jid);
@@ -518,72 +504,16 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflowImpl(
       return job_or.status();
     }
     const JobVertex* job = *job_or;
-
-    // Per-job memo: key = job content digest + the predictions of its
-    // inputs. A hit replays the stored dataflow, task times, and output
-    // predictions — bit-identical to recomputing them.
-    CostKey key{};
-    bool have_key = false;
-    if (cache_ != nullptr) {
-      CostDigest digest;
-      if (job_digests != nullptr) {
-        auto dit = job_digests->find(jid);
-        digest = dit != job_digests->end() ? dit->second
-                                           : JobContentDigest(*job);
-      } else {
-        digest = JobContentDigest(*job);
-      }
-      bool inputs_known = true;
-      for (const std::string& in : job->InputDatasets()) {
-        auto it = predicted.find(in);
-        if (it == predicted.end()) {
-          // Missing input prediction: fall through to PredictJob, which
-          // reports the precise error.
-          inputs_known = false;
-          break;
-        }
-        digest.Mix(in);
-        MixPredictedDataset(&digest, it->second);
-      }
-      if (inputs_known) {
-        key = digest.value();
-        have_key = true;
-        if (const CostJobEntry* entry = cache_->FindJob(key)) {
-          ++replayed;
-          if (stats_ != nullptr) ++stats_->job_cache_hits;
-          for (const auto& [id, p] : entry->outputs) predicted[id] = p;
-          ScheduledJob sj;
-          sj.id = jid;
-          sj.deps = plan.UpstreamJobs(jid);
-          sj.times = entry->times;
-          scheduled.push_back(std::move(sj));
-          flow.jobs.push_back(entry->dataflow);
-          continue;
-        }
-      }
-    }
-
     auto df_or = PredictJob(plan, *job, &predicted);
     if (!df_or.ok()) {
       count_pass();
       return df_or.status();
     }
-    ++predicted_fresh;
     if (stats_ != nullptr) ++stats_->job_predictions;
     ScheduledJob sj;
     sj.id = jid;
     sj.deps = plan.UpstreamJobs(jid);
     sj.times = model_.TaskTimes(*df_or, job->config);
-    if (have_key) {
-      CostJobEntry entry;
-      entry.dataflow = *df_or;
-      entry.times = sj.times;
-      for (const std::string& out : job->OutputDatasets()) {
-        auto it = predicted.find(out);
-        if (it != predicted.end()) entry.outputs.emplace_back(out, it->second);
-      }
-      cache_->InsertJob(key, std::move(entry));
-    }
     scheduled.push_back(std::move(sj));
     flow.jobs.push_back(std::move(*df_or));
   }
@@ -610,14 +540,9 @@ CostEstimate WhatIfEngine::CostImpl(
     const std::map<std::string, CostDigest>* job_digests) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
   CostKey key{};
-  std::map<std::string, CostDigest> local_digests;
   if (cache_ != nullptr) {
-    if (job_digests == nullptr) {
-      key = PlanCostDigest(plan, &local_digests);
-      job_digests = &local_digests;
-    } else {
-      key = PlanCostDigestFrom(plan, *job_digests);
-    }
+    key = job_digests != nullptr ? PlanCostDigestFrom(plan, *job_digests)
+                                 : PlanCostDigest(plan);
     if (const CostEstimate* hit = cache_->FindPlan(key)) {
       if (stats_ != nullptr) ++stats_->plan_cache_hits;
       return *hit;
@@ -625,8 +550,7 @@ CostEstimate WhatIfEngine::CostImpl(
     if (stats_ != nullptr) ++stats_->plan_cache_misses;
   }
   CostEstimate est;
-  auto flow = PredictDataflowImpl(
-      plan, cache_ != nullptr ? job_digests : nullptr);
+  auto flow = PredictDataflow(plan);
   if (flow.ok()) {
     est.cost = flow->makespan_sec;
     est.fallback = false;

@@ -60,11 +60,11 @@ class WhatIfEngine {
   /// detailed prediction is not possible.
   CostEstimate Cost(const Plan& plan) const;
 
-  /// Cost with caller-provided per-job content digests. The caller
-  /// guarantees each entry equals JobContentDigest(job) for that job in
-  /// `plan` — how the RRS loop avoids re-digesting jobs it did not touch.
-  /// Behaves exactly like Cost(plan) (and ignores the digests) when no
-  /// cache is attached.
+  /// Cost with caller-provided per-job content digests for the memo key.
+  /// The caller guarantees each entry equals JobContentDigest(job) for that
+  /// job in `plan` — how the RRS loop avoids re-digesting jobs it did not
+  /// touch. Behaves exactly like Cost(plan) (and ignores the digests) when
+  /// no cache is attached.
   CostEstimate CostWithDigests(
       const Plan& plan,
       const std::map<std::string, CostDigest>& job_digests) const;
@@ -74,7 +74,7 @@ class WhatIfEngine {
 
   const PhaseTimeModel& model() const { return model_; }
 
-  /// Attaches a memoization store (nullptr detaches) — the shared
+  /// Attaches a whole-plan memo (nullptr detaches) — stubbyd's shared
   /// CostCache, or a task-private CostCacheOverlay during parallel costing
   /// batches. Caching is transparent: cached and uncached costing return
   /// bit-identical estimates. The store must outlive the engine or be
@@ -94,13 +94,6 @@ class WhatIfEngine {
   Result<JobDataflow> PredictJob(
       const Plan& plan, const JobVertex& job,
       std::map<std::string, PredictedDataset>* datasets) const;
-
-  /// PredictDataflow with optional precomputed per-job content digests
-  /// (avoids digesting every job twice when Cost already computed them for
-  /// the whole-plan memo key).
-  Result<WorkflowDataflow> PredictDataflowImpl(
-      const Plan& plan,
-      const std::map<std::string, CostDigest>* job_digests) const;
 
   CostEstimate CostImpl(
       const Plan& plan,

@@ -1,7 +1,6 @@
 #include "optimizer/stubby.h"
 
 #include <chrono>
-#include <optional>
 #include <set>
 
 #include "common/logging.h"
@@ -122,17 +121,9 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
       return report;
     }
   }
-  // One cache per Optimize call, shared across phases and units: the base
-  // plan of every unit, RRS seed points, and all jobs outside an RRS
-  // point's perturbation cone hit the memo. An external `cost_cache` (the
-  // stubbyd shared-service memo) replaces the per-call cache outright.
-  std::optional<CostCache> cache;
-  if (options_.cost_cache != nullptr) {
-    whatif.set_cache(options_.cost_cache);
-  } else if (options_.enable_cost_cache) {
-    cache.emplace(CostCache::Options{});
-    whatif.set_cache(&*cache);
-  }
+  // A borrowed whole-plan memo (stubbyd's shared cache) serves every phase
+  // and unit; without one the run prices every plan afresh.
+  whatif.set_cache(options_.cost_cache);
   // Search tasks produce bit-identical results at any thread count, so the
   // pool is a pure wall-time knob.
   ThreadPool* pool = options_.pool;

@@ -39,18 +39,14 @@ struct StubbyOptions {
   /// (the paper argues Vertical-first is the right order, Section 4).
   bool flip_phase_order = false;
 
-  /// Costing cache (Section 6's cost reuse): memoize whole-plan estimates
-  /// and per-job dataflow predictions across phases and units. Transparent:
-  /// the chosen plans, costs, and applied transforms are bit-identical with
-  /// the cache on or off.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool enable_cost_cache = true;
-  /// Borrowed external costing memo: when set, the optimizer routes what-if
-  /// memoization through it instead of creating a per-call CostCache, so
-  /// many Optimize calls can share one long-lived cache (stubbyd hands each
-  /// request a CostCacheOverlay over the shared service cache). Takes
-  /// precedence over `enable_cost_cache`. Transparent like the internal
-  /// cache — plans and costs are bit-identical with any contents — so it
-  /// stays out of the option salt.
+  /// Borrowed whole-plan costing memo (Section 6's cost reuse): when set,
+  /// the what-if engine memoizes estimates through it, so many Optimize
+  /// calls share one long-lived cache (stubbyd hands each request a
+  /// CostCacheOverlay over the shared service cache). Null prices every
+  /// plan afresh. Transparent — plans and costs are bit-identical with any
+  /// contents — so it stays out of the option salt.
   CostStore* cost_cache = nullptr;
 
   /// Task parallelism for the in-unit search: subplan candidates and RRS
@@ -159,8 +155,8 @@ struct OptimizeReport {
   int units_processed = 0;
   int subplans_enumerated = 0;
   std::vector<std::string> applied;  ///< transformation log
-  /// Costing-layer counters for the whole run (what-if calls, cache
-  /// hits/misses, full vs. incremental predictions, RRS evaluations).
+  /// Costing-layer counters for the whole run (what-if calls, memo
+  /// hits/misses, dataflow predictions, RRS evaluations).
   CostInstrumentation costing;
   std::vector<PhaseReport> phases;
 

@@ -493,6 +493,14 @@ Result<ResultStore> ResultStore::FromJson(const Json& json) {
           std::vector<Row> rows;
           for (const Json& r : part.items()) {
             STUBBY_ASSIGN_OR_RETURN(Row row, RowFromJson(r));
+            // Consumers index stored rows by schema position unchecked.
+            if (row.size() != fields.size()) {
+              return Status::InvalidArgument(StrFormat(
+                  "snapshot '%s' partition %zu row %zu has %zu values but "
+                  "its schema has %zu fields",
+                  id.c_str(), ds->num_partitions(), rows.size(), row.size(),
+                  fields.size()));
+            }
             rows.push_back(std::move(row));
           }
           ds->AddPartition(std::move(rows));

@@ -77,7 +77,7 @@ struct ServiceOptions {
   size_t wave_size = 8;
   /// Shared-store construction options (global byte budget + policy).
   ResultStore::Options store;
-  /// Shared costing-memo capacities.
+  /// Capacity of the shared whole-plan costing memo.
   CostCache::Options cost_cache;
   /// Per-tenant snapshot byte budget (0 = unlimited), overridable per
   /// tenant by name. Enforced after each request commits, against the

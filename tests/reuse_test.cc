@@ -473,6 +473,44 @@ TEST(ResultStoreTest, CatalogWithNegativeCounterIsRejected) {
   EXPECT_FALSE(ResultStore::Deserialize(text).ok());
 }
 
+TEST(ResultStoreTest, CatalogWithShortRowIsRejected) {
+  // Stored rows are indexed by schema position without bounds checks (by
+  // UDFs over a staged snapshot, and as served workflow outputs), so a row
+  // narrower than its snapshot's schema must not load.
+  ResultStore store;
+  store.Register(*MakeStored("x", 40), {{CostKey{1, 1}, ReuseKind::kJobOutput}});
+  Json doc = store.ToJson();
+  ASSERT_TRUE(ResultStore::FromJson(doc).ok());
+
+  const Json& snapshot = doc.Find("snapshots")->items()[0];
+  const Json& rows = snapshot.Find("partitions")->items()[0];
+  ASSERT_GT(rows.size(), 3u);
+  Json part = Json::Array();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (r != 3) {
+      part.Append(rows.items()[r]);
+      continue;
+    }
+    Json short_row = Json::Array();
+    short_row.Append(rows.items()[r].items()[0]);  // K only, V dropped
+    part.Append(std::move(short_row));
+  }
+  Json parts = Json::Array();
+  parts.Append(std::move(part));
+  Json corrupted_snapshot = snapshot;
+  corrupted_snapshot["partitions"] = std::move(parts);
+  Json snapshots = Json::Array();
+  snapshots.Append(std::move(corrupted_snapshot));
+  doc["snapshots"] = std::move(snapshots);
+
+  auto loaded = ResultStore::FromJson(doc);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = loaded.status().message();
+  EXPECT_NE(message.find("'rs/0'"), std::string::npos) << message;
+  EXPECT_NE(message.find("partition 0 row 3"), std::string::npos) << message;
+}
+
 // --- rewriting + session bit-identity --------------------------------------
 
 TEST(ReuseRewriterTest, NoHitsLeavesPlanBitIdentical) {

@@ -3,7 +3,8 @@
 // request (plan, cost bits, reuse counters, raw outputs) and every byte of
 // shared-store state must equal a sequential fresh-session loop over the
 // same submission trace — plus deterministic admission control, per-tenant
-// budget enforcement, the degradation ladder, and cost-cache transparency.
+// budget enforcement, the degradation ladder, and the shared cost cache
+// (transparent, and serving later requests).
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,11 @@
 
 #include "common/threading.h"
 #include "optimizer/transform.h"
+#include "profiler/profiler.h"
 #include "reuse/session.h"
 #include "service/stubbyd.h"
 #include "service/trace.h"
+#include "workloads/registry.h"
 
 namespace stubby {
 namespace {
@@ -378,7 +381,7 @@ TEST(StubbyServiceTest, DegradationLadder) {
 
 TEST(StubbyServiceTest, SharedCostCacheIsTransparent) {
   // The service-wide CostCache is a pure wall-time artifact: throttling it
-  // to two entries per layer must not move a single committed bit.
+  // to two entries must not move a single committed bit.
   const SubmissionTrace trace = SmallTrace(/*universe=*/3, /*submissions=*/10,
                                            /*tenants=*/2);
   auto run = [&](CostCache::Options cache) {
@@ -395,13 +398,58 @@ TEST(StubbyServiceTest, SharedCostCacheIsTransparent) {
     return std::make_pair(std::move(captures), service.store().Serialize());
   };
   auto wide = run(CostCache::Options{});
-  auto tiny = run(CostCache::Options{2, 2});
+  auto tiny = run(CostCache::Options{2});
   ASSERT_EQ(wide.first.size(), tiny.first.size());
   for (size_t i = 0; i < wide.first.size(); ++i) {
     ExpectSameCapture(tiny.first[i], wide.first[i],
                       "request " + std::to_string(i));
   }
   EXPECT_EQ(wide.second, tiny.second);
+}
+
+TEST(StubbyServiceTest, SharedPlanMemoServesARepeatedRequest) {
+  // One Table 1 workflow, submitted twice in separate waves. The first
+  // request registers its outputs, which pushes the store past the hard
+  // threshold, so the second runs reuse-blind: the same search over the
+  // same plans. Every estimate it asks for must come from the shared memo
+  // the first request's overlay merged into, with the same plan and bits.
+  WorkloadOptions wopt;
+  wopt.sample_rows = 2000;
+  auto workload = MakeWorkload("IR", wopt);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  Dfs scratch = workload->dfs;
+  ASSERT_TRUE(
+      Profiler(wopt.cluster).ProfilePlan(&workload->plan, &scratch).ok());
+  Submission sub;
+  sub.name = "IR";
+  sub.plan = std::make_shared<const Plan>(workload->plan);
+  sub.dfs = std::make_shared<const Dfs>(workload->dfs);
+
+  ServiceOptions options;
+  options.hard_degrade_bytes = 1;
+  options.cost_cache.plan_capacity = size_t{1} << 20;  // never evicts
+  ThreadPool pool(4);
+  StubbyService service(options, &pool);
+  std::vector<RequestResult> done;
+  for (int wave = 0; wave < 2; ++wave) {
+    ASSERT_TRUE(service.Submit(sub).ok());
+    std::vector<RequestResult> results = service.Drain();
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+    done.push_back(std::move(results[0]));
+  }
+  EXPECT_EQ(done[0].degrade, DegradeLevel::kFull);
+  EXPECT_EQ(done[1].degrade, DegradeLevel::kBlind);
+  EXPECT_EQ(service.cost_cache().plan_evictions(), 0u);
+
+  const OptimizeReport& first = done[0].session.report;
+  const OptimizeReport& second = done[1].session.report;
+  EXPECT_GT(first.costing.plan_cache_misses, 0u);
+  EXPECT_GT(second.costing.plan_cache_hits, 0u);
+  EXPECT_EQ(second.costing.plan_cache_misses, 0u);
+  EXPECT_EQ(PlanSignature(second.plan), PlanSignature(first.plan));
+  EXPECT_TRUE(SameCostBits(second.estimated_cost, first.estimated_cost))
+      << second.estimated_cost << " vs " << first.estimated_cost;
 }
 
 }  // namespace

@@ -252,15 +252,13 @@ TEST(ThreadPoolTest, StragglerChunksAreStolen) {
   // participant still owns undealt chunks in its deque, so the batch can
   // only complete if the other participants steal them — this test both
   // proves the steal path runs and exercises batch completion by a thief.
-  ThreadPool::Options opts;
-  opts.chunks_per_thread = 8;
-  ThreadPool pool(4, opts);
+  ThreadPool pool(4);
   pool.ResetStats();
   constexpr size_t kN = 256;
-  // Chunk size is a pure function of (n, threads, chunks_per_thread); the
-  // blocked chunk's other indices live nowhere else, so the wait target
-  // must exclude the whole chunk, not just the blocked index.
-  constexpr size_t kChunk = kN / (4 * 8);
+  // Chunk size is a pure function of (n, threads); the blocked chunk's
+  // other indices live nowhere else, so the wait target must exclude the
+  // whole chunk, not just the blocked index.
+  constexpr size_t kChunk = kN / (4 * ThreadPool::kChunksPerThread);
   std::atomic<size_t> finished{0};
   std::atomic<bool> timed_out{false};
   // Block the *caller's first task*: the caller claims the back chunk of
@@ -291,9 +289,7 @@ TEST(ThreadPoolTest, StragglerChunksAreStolen) {
 }
 
 TEST(ThreadPoolTest, StatsCountBatchesTasksAndChunks) {
-  ThreadPool::Options opts;
-  opts.chunks_per_thread = 4;
-  ThreadPool pool(4, opts);
+  ThreadPool pool(4);
   constexpr size_t kN = 1000;
   pool.ParallelFor(kN, [](size_t) {});
   pool.ParallelFor(kN, [](size_t) {});
@@ -441,14 +437,9 @@ TEST(CostCacheOverlayTest, MergeWritesLocalInsertsIntoStore) {
   CostCache cache;
   CostCacheOverlay overlay(&cache);
   overlay.InsertPlan(Key(7), Est(7.0));
-  CostJobEntry job;
-  job.times.map_avg_sec = 3.5;
-  overlay.InsertJob(Key(8), job);
   overlay.MergeInto(&cache);
   ASSERT_NE(cache.PeekPlan(Key(7)), nullptr);
   EXPECT_EQ(cache.PeekPlan(Key(7))->cost, 7.0);
-  ASSERT_NE(cache.PeekJob(Key(8)), nullptr);
-  EXPECT_EQ(cache.PeekJob(Key(8))->times.map_avg_sec, 3.5);
 }
 
 TEST(CostCacheOverlayTest, OverlaysNestOverOverlays) {
