@@ -82,8 +82,7 @@ inline Result<PreparedWorkload> Prepare(const std::string& abbr,
 /// simulated makespan is bit-identical either way.
 inline Result<double> Execute(const PreparedWorkload& pw, const Plan& plan,
                               ThreadPool* pool = nullptr) {
-  WorkflowRunner runner(pw.options.cluster, pool,
-                        ExecOptions{true, ColumnarStorageFromEnv()});
+  WorkflowRunner runner(pw.options.cluster, pool);
   Dfs dfs = pw.workload.dfs;
   STUBBY_ASSIGN_OR_RETURN(WorkflowDataflow flow, runner.Run(plan, &dfs));
   return flow.makespan_sec;
@@ -97,7 +96,6 @@ inline Result<OptimizeReport> RunStubbyReport(const PreparedWorkload& pw,
                                               uint64_t seed = 17,
                                               ThreadPool* pool = nullptr) {
   StubbyOptions opts;
-  opts.columnar_storage = ColumnarStorageFromEnv();
   opts.enable_intra_vertical = vertical;
   opts.enable_inter_vertical = vertical;
   opts.enable_horizontal = horizontal;

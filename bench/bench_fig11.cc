@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
     auto run = [&](bool vertical, bool horizontal,
                    bool keep_report) -> double {
       StubbyOptions opts;
-      opts.columnar_storage = ColumnarStorageFromEnv();
       opts.enable_intra_vertical = vertical;
       opts.enable_inter_vertical = vertical;
       opts.enable_horizontal = horizontal;

@@ -5,8 +5,7 @@
 // cluster (actual). As in the paper, the estimates are good enough to
 // identify the best and worst subplans even when absolute values deviate.
 //
-// Flags: --rows N     sample rows (default 60000; the vectorized executor
-//                     paths make the larger default affordable)
+// Flags: --rows N     sample rows (default 60000)
 //        --noise F    profiling noise factor (default 0.05)
 //        --threads N  worker threads (default: hardware); subplans run as
 //                     concurrent tasks, results are identical at any count

@@ -238,7 +238,6 @@ int main(int argc, char** argv) {
   for (const std::string& abbr : abbrs) {
     auto pw = Prepare(abbr, rows);
     STUBBY_CHECK_OK(pw.status());
-    const ExecOptions exec{true, ColumnarStorageFromEnv()};
 
     // Clean: optimize and execute with accurate profiles.
     StubbyOptions opts;
@@ -265,7 +264,7 @@ int main(int argc, char** argv) {
     // the unexecuted suffix when they diverge.
     StubbyOptions adaptive_opts = opts;
     adaptive_opts.reoptimize = true;
-    AdaptiveRunner runner(pw->options.cluster, &pool, exec, adaptive_opts);
+    AdaptiveRunner runner(pw->options.cluster, &pool, adaptive_opts);
     Dfs adaptive_dfs = pw->workload.dfs;
     auto adaptive_run = runner.Run(mis_report->plan, &adaptive_dfs);
     STUBBY_CHECK_OK(adaptive_run.status());

@@ -124,7 +124,6 @@ Result<SessionRun> RunSession(ResultStore* store,
     run.costs.emplace_back();
     for (size_t i = 0; i < subs.size(); ++i) {
       StubbyOptions opts;
-      opts.columnar_storage = ColumnarStorageFromEnv();
       // Alternate the whole-workflow tier so one repeated session
       // exercises both full elision and per-job rewriting.
       opts.reuse_whole_workflow =

@@ -13,10 +13,8 @@
 #include "cost/cost_cache.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
-#include "dfs/dataset.h"
 #include "exec/workflow_runner.h"
 #include "exec/wrappers.h"
-#include "mr/bloom_filter.h"
 #include "mr/partitioner.h"
 #include "optimizer/rrs.h"
 #include "optimizer/transform.h"
@@ -349,322 +347,16 @@ bool RunSkewedBatchStudy(Json* doc) {
   return true;
 }
 
-// Columnar vs record-at-a-time execution of the executor's vectorizable
-// hot path: an all-map, stateless pipeline (filter / append-const /
-// project / sample) over wide rows with string payloads, run per-chunk the
-// way map tasks run it. The record path re-materializes every row at every
-// stage; the batch path mutates structure (selection narrowing, column
-// pointer shuffles, broadcast constants) and materializes survivors once.
-// Three rates are measured at 1/2/4/8 threads:
-//   kernel: pipeline execution given each representation (row emit loop
-//           vs batch Run + survivor materialization) — the region the
-//           vectorized path replaces;
-//   end-to-end: the full columnar storage boundary — zero-copy batch view
-//           of a column-native PartitionData in, Run, column-native
-//           PartitionData (with byte accounting) out. This is what a map
-//           task actually executes with columnar_storage on;
-//   row-store end-to-end: kernel plus the per-chunk rows->columns and
-//           columns->rows conversions the executor paid before
-//           column-native storage (diagnostic, not gated).
-// The gate requires bit-identical outputs and counters plus >= 5x kernel
-// AND >= 5x end-to-end throughput at every thread count the host can
-// actually run in parallel (t <= hardware threads; oversubscribed points
-// are recorded, not gated).
-bool RunVectorizedExecStudy(Json* doc) {
-  using namespace stubby::bench;
-  std::printf("\nVectorized-exec study (columnar map pipeline vs row path)\n");
-
-  Schema schema0({"A", "B", "C", "D", "E", "F", "V", "W"});
-  Schema schema1 = schema0.Concat(Schema({"T"}));
-  Schema schema2({"A", "B", "C", "D", "E", "F", "V", "T"});
-  Schema schema2r = schema2.Concat(Schema({"R"}));
-  Schema schema3({"A", "C", "D", "F", "V", "T", "R"});
-  Schema schema3u = schema3.Concat(Schema({"U"}));
-  Schema schema4({"A", "C", "D", "V", "T", "U"});
-  std::vector<Stage> stages = {
-      Stage::Map(FilterRangeMap("f1", schema0, "V", 5.0, 95.0)),
-      Stage::Map(AppendConstMap("a1", schema0, "T", Value(int64_t{7}))),
-      Stage::Map(ProjectMap("p1", schema1,
-                            {"A", "B", "C", "D", "E", "F", "V", "T"})),
-      Stage::Map(AppendConstMap("a2", schema2, "R", Value(2.0))),
-      Stage::Map(ProjectMap("p2", schema2r,
-                            {"A", "C", "D", "F", "V", "T", "R"})),
-      Stage::Map(FilterRangeMap("f2", schema3, "D", 10.0, 90.0)),
-      Stage::Map(AppendConstMap("a3", schema3, "U", Value(1.5))),
-      Stage::Map(ProjectMap("p3", schema3u, {"A", "C", "D", "V", "T", "U"})),
-      Stage::Map(SampleMap("s1", schema4, 2, {"A", "C", "V"})),
-  };
-  if (!BatchPipelineRunner::Eligible(stages)) {
-    std::printf("  pipeline unexpectedly ineligible for batching\n");
-    return false;
-  }
-
-  // 64 map-task-sized chunks; the same split feeds both paths.
-  constexpr size_t kChunks = 64;
-  constexpr size_t kChunkRows = 4096;
-  Rng rng(31);
-  std::vector<std::vector<Row>> chunks(kChunks);
-  for (auto& chunk : chunks) {
-    chunk.reserve(kChunkRows);
-    for (size_t i = 0; i < kChunkRows; ++i) {
-      chunk.push_back(Row{
-          rng.NextInt(0, 999), rng.NextInt(0, 99),
-          "user_" + std::to_string(rng.NextInt(0, 5000)),
-          rng.NextDouble(0, 100), rng.NextDouble(0, 1),
-          "tag_" + std::to_string(rng.NextInt(0, 50)),
-          rng.NextDouble(0, 100), rng.NextInt(0, 9)});
-    }
-  }
-  const uint64_t total_rows = kChunks * kChunkRows;
-
-  auto run_row_chunk = [&](const std::vector<Row>& chunk,
-                           PipelineCounters* counters) {
-    VectorEmitter out;
-    auto runner = PipelineRunner::Make(stages, schema0, &out, nullptr);
-    STUBBY_CHECK_OK(runner.status());
-    for (const Row& r : chunk) (*runner)->Emit(r);
-    (*runner)->Finish();
-    if (counters != nullptr) *counters = (*runner)->counters();
-    return std::move(out.rows());
-  };
-  auto run_batch_chunk = [&](const std::vector<Row>& chunk,
-                             PipelineCounters* counters) {
-    BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
-    RowBatch out = runner.Run(RowBatch::FromRows(chunk, schema0.size()));
-    if (counters != nullptr) *counters = runner.counters();
-    return out.ToRows();
-  };
-
-  // Column-native storage, as the executor stores it: the end-to-end leg
-  // scans these as zero-copy batch views and stores its output the same
-  // way.
-  std::vector<PartitionData> stored;
-  stored.reserve(kChunks);
-  for (const auto& chunk : chunks) {
-    stored.push_back(
-        PartitionData::FromBatch(RowBatch::FromRows(chunk, schema0.size())));
-  }
-  auto run_columnar_chunk = [&](const PartitionData& pd) {
-    BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
-    PartitionData out = PartitionData::FromBatch(runner.Run(pd.AsBatch()));
-    return out.raw_bytes() + out.num_rows();  // force the byte accounting
-  };
-
-  // Transparency first: all paths must agree bit-for-bit on every chunk,
-  // outputs and counters alike, before the clock starts.
-  bool identical = true;
-  for (size_t i = 0; i < kChunks; ++i) {
-    PipelineCounters rc, bc;
-    std::vector<Row> row_out = run_row_chunk(chunks[i], &rc);
-    std::vector<Row> batch_out = run_batch_chunk(chunks[i], &bc);
-    BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
-    PartitionData col_out =
-        PartitionData::FromBatch(runner.Run(stored[i].AsBatch()));
-    if (!RowsBitIdentical(row_out, batch_out) ||
-        !RowsBitIdentical(row_out, col_out.rows()) ||
-        rc.rows_in != bc.rows_in || rc.rows_out != bc.rows_out ||
-        std::memcmp(&rc.cpu_units, &bc.cpu_units, sizeof(double)) != 0) {
-      identical = false;
-      break;
-    }
-  }
-  std::printf("  outputs and counters bit-identical: %s\n",
-              identical ? "YES" : "NO");
-
-  // Pre-built batches isolate the kernel region; the executor builds these
-  // once per chunk and shares them across every subscriber pipeline.
-  std::vector<RowBatch> prebuilt;
-  prebuilt.reserve(kChunks);
-  for (const auto& chunk : chunks) {
-    prebuilt.push_back(RowBatch::FromRows(chunk, schema0.size()));
-  }
-
-  const int hw = ThreadPool::HardwareThreads();
-  double min_gated_speedup = 0.0;
-  double min_gated_e2e_speedup = 0.0;
-  bool any_gated = false;
-  Json points = Json::Array();
-  for (int t : {1, 2, 4, 8}) {
-    ThreadPool pool(t);
-    double row_wall = 0.0;
-    double kernel_wall = 0.0;
-    double e2e_wall = 0.0;
-    double rowstore_wall = 0.0;
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      pool.ParallelFor(kChunks, [&](size_t i) {
-        benchmark::DoNotOptimize(run_row_chunk(chunks[i], nullptr).size());
-      });
-      const double rw = SecondsSince(t0);
-      if (rep == 0 || rw < row_wall) row_wall = rw;
-
-      t0 = std::chrono::steady_clock::now();
-      pool.ParallelFor(kChunks, [&](size_t i) {
-        BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
-        RowBatch out = runner.Run(prebuilt[i]);
-        benchmark::DoNotOptimize(out.ToRows().size());
-      });
-      const double kw = SecondsSince(t0);
-      if (rep == 0 || kw < kernel_wall) kernel_wall = kw;
-
-      t0 = std::chrono::steady_clock::now();
-      pool.ParallelFor(kChunks, [&](size_t i) {
-        benchmark::DoNotOptimize(run_columnar_chunk(stored[i]));
-      });
-      const double ew = SecondsSince(t0);
-      if (rep == 0 || ew < e2e_wall) e2e_wall = ew;
-
-      t0 = std::chrono::steady_clock::now();
-      pool.ParallelFor(kChunks, [&](size_t i) {
-        benchmark::DoNotOptimize(run_batch_chunk(chunks[i], nullptr).size());
-      });
-      const double sw = SecondsSince(t0);
-      if (rep == 0 || sw < rowstore_wall) rowstore_wall = sw;
-    }
-    const double row_rate = total_rows / std::max(row_wall, 1e-9);
-    const double kernel_rate = total_rows / std::max(kernel_wall, 1e-9);
-    const double e2e_rate = total_rows / std::max(e2e_wall, 1e-9);
-    const double rowstore_rate = total_rows / std::max(rowstore_wall, 1e-9);
-    const double kernel_speedup = kernel_rate / std::max(row_rate, 1e-9);
-    const double e2e_speedup = e2e_rate / std::max(row_rate, 1e-9);
-    const double rowstore_speedup = rowstore_rate / std::max(row_rate, 1e-9);
-    const bool gated = t <= hw;
-    if (gated) {
-      if (!any_gated || kernel_speedup < min_gated_speedup) {
-        min_gated_speedup = kernel_speedup;
-      }
-      if (!any_gated || e2e_speedup < min_gated_e2e_speedup) {
-        min_gated_e2e_speedup = e2e_speedup;
-      }
-      any_gated = true;
-    }
-    std::printf(
-        "  threads=%d%s  row %.0f rows/s  batch kernel %.0f rows/s (%.1fx)"
-        "  end-to-end %.0f rows/s (%.1fx)  row-store e2e %.0f rows/s"
-        " (%.1fx)\n",
-        t, gated ? "" : " (oversubscribed)", row_rate, kernel_rate,
-        kernel_speedup, e2e_rate, e2e_speedup, rowstore_rate,
-        rowstore_speedup);
-
-    Json point = Json::Object();
-    point["threads"] = static_cast<uint64_t>(t);
-    point["gated"] = gated;
-    point["row_rows_per_sec"] = row_rate;
-    point["batch_kernel_rows_per_sec"] = kernel_rate;
-    point["batch_e2e_rows_per_sec"] = e2e_rate;
-    point["rowstore_e2e_rows_per_sec"] = rowstore_rate;
-    point["kernel_speedup"] = kernel_speedup;
-    point["e2e_speedup"] = e2e_speedup;
-    point["rowstore_e2e_speedup"] = rowstore_speedup;
-    points.Append(std::move(point));
-  }
-  const bool fast_enough = any_gated && min_gated_speedup >= 5.0 &&
-                           min_gated_e2e_speedup >= 5.0;
-  std::printf(
-      "  min speedups at t <= %d hardware threads: kernel %.1fx, "
-      "end-to-end %.1fx (gate: both >= 5x %s)\n",
-      hw, min_gated_speedup, min_gated_e2e_speedup,
-      fast_enough ? "PASS" : "FAIL");
-
-  Json study = Json::Object();
-  study["pipeline_stages"] = static_cast<uint64_t>(stages.size());
-  study["rows"] = total_rows;
-  study["chunks"] = static_cast<uint64_t>(kChunks);
-  study["hardware_threads"] = static_cast<uint64_t>(hw);
-  study["identical_results"] = identical;
-  study["min_kernel_speedup"] = min_gated_speedup;
-  study["min_e2e_speedup"] = min_gated_e2e_speedup;
-  study["points"] = std::move(points);
-  (*doc)["vectorized_exec"] = std::move(study);
-  return identical && fast_enough;
-}
-
-// Bloom predicate-transfer study. Two legs:
-//   kernel: BloomProbeMapFn throughput, row path (Map loop) vs batch path
-//           (MapBatch narrowing the selection), over map-task-sized
-//           chunks — the region the probe stage adds to every probe-side
-//           map task;
-//   end-to-end: a selective inner join (build side filtered to 10% of the
-//           key space, probe side 4x the build's logical bytes) optimized
-//           with bloom_transfer off vs on and executed in the simulator.
-// The gate requires bit-identical probe outputs on both kernel paths,
-// bit-identical terminal outputs on vs off, the transform actually winning
-// the search, and a shuffle-byte reduction of at least 30%.
+// Bloom predicate-transfer study: a selective inner join (build side
+// filtered to 10% of the key space, probe side 4x the build's logical
+// bytes) optimized with bloom_transfer off vs on and executed in the
+// simulator. The gate requires bit-identical terminal outputs on vs off,
+// the transform actually winning the search, and a shuffle-byte reduction
+// of at least 30%.
 bool RunBloomProbeStudy(Json* doc) {
   using namespace stubby::bench;
   std::printf("\nBloom-probe study (predicate transfer on a selective join)\n");
 
-  // --- probe kernel --------------------------------------------------------
-  Schema schema({"K", "G", "V"});
-  auto filter = std::make_shared<BloomFilter>(20, 6, kBloomFilterSeed);
-  for (int64_t k = 0; k < 10000; ++k) {
-    filter->Insert(HashOnFields(Row{k, int64_t{0}, int64_t{0}}, {0}));
-  }
-  constexpr size_t kChunks = 64;
-  constexpr size_t kChunkRows = 4096;
-  Rng rng(41);
-  std::vector<std::vector<Row>> chunks(kChunks);
-  for (auto& chunk : chunks) {
-    chunk.reserve(kChunkRows);
-    for (size_t i = 0; i < kChunkRows; ++i) {
-      chunk.push_back(Row{rng.NextInt(0, 99999), rng.NextInt(0, 9),
-                          rng.NextDouble(0, 100)});
-    }
-  }
-  const uint64_t total_rows = kChunks * kChunkRows;
-  BloomProbeMapFn probe("probe", schema, {"K"});
-  auto bound = probe.Bind(filter);
-
-  bool probe_identical = true;
-  uint64_t kept = 0;
-  std::vector<RowBatch> prebuilt;
-  prebuilt.reserve(kChunks);
-  for (const auto& chunk : chunks) {
-    prebuilt.push_back(RowBatch::FromRows(chunk, schema.size()));
-    VectorEmitter row_out;
-    for (const Row& r : chunk) bound->Map(r, &row_out);
-    RowBatch batch = prebuilt.back();
-    bound->MapBatch(&batch);
-    if (!RowsBitIdentical(row_out.rows(), batch.ToRows())) {
-      probe_identical = false;
-    }
-    kept += row_out.rows().size();
-  }
-  const double pass_fraction =
-      static_cast<double>(kept) / static_cast<double>(total_rows);
-  std::printf("  probe outputs bit-identical row vs batch: %s"
-              " (pass fraction %.3f)\n",
-              probe_identical ? "YES" : "NO", pass_fraction);
-
-  double row_wall = 0.0;
-  double batch_wall = 0.0;
-  constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (const auto& chunk : chunks) {
-      VectorEmitter out;
-      for (const Row& r : chunk) bound->Map(r, &out);
-      benchmark::DoNotOptimize(out.rows().size());
-    }
-    const double rw = SecondsSince(t0);
-    if (rep == 0 || rw < row_wall) row_wall = rw;
-
-    t0 = std::chrono::steady_clock::now();
-    for (const RowBatch& pre : prebuilt) {
-      RowBatch batch = pre;
-      bound->MapBatch(&batch);
-      benchmark::DoNotOptimize(batch.num_rows());
-    }
-    const double bw = SecondsSince(t0);
-    if (rep == 0 || bw < batch_wall) batch_wall = bw;
-  }
-  const double row_rate = total_rows / std::max(row_wall, 1e-9);
-  const double batch_rate = total_rows / std::max(batch_wall, 1e-9);
-  std::printf("  probe kernel: row %.0f rows/s  batch %.0f rows/s (%.1fx)\n",
-              row_rate, batch_rate, batch_rate / std::max(row_rate, 1e-9));
-
-  // --- end-to-end selective join -------------------------------------------
   constexpr uint64_t kStudyGB = 1ull << 30;
   auto make_join = [&]() -> Result<WorkflowFactory> {
     ClusterSpec cluster;
@@ -765,19 +457,11 @@ bool RunBloomProbeStudy(Json* doc) {
       static_cast<unsigned long long>(off_shuffle),
       static_cast<unsigned long long>(on_shuffle), 100.0 * reduction,
       off_makespan, on_makespan);
-  const bool gate = probe_identical && e2e_applied && e2e_identical &&
-                    reduction >= 0.30;
-  std::printf("  gate (probes identical, applied, outputs identical, cut"
-              " >= 30%%): %s\n",
+  const bool gate = e2e_applied && e2e_identical && reduction >= 0.30;
+  std::printf("  gate (applied, outputs identical, cut >= 30%%): %s\n",
               gate ? "PASS" : "FAIL");
 
   Json study = Json::Object();
-  study["rows"] = total_rows;
-  study["probe_identical"] = probe_identical;
-  study["probe_pass_fraction"] = pass_fraction;
-  study["probe_row_rows_per_sec"] = row_rate;
-  study["probe_batch_rows_per_sec"] = batch_rate;
-  study["probe_batch_speedup"] = batch_rate / std::max(row_rate, 1e-9);
   study["e2e_applied"] = e2e_applied;
   study["e2e_outputs_identical"] = e2e_identical;
   study["shuffle_bytes_off"] = off_shuffle;
@@ -811,7 +495,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (StudyEnabled("thread_scaling")) ok = RunThreadScalingStudy(&doc) && ok;
   if (StudyEnabled("skewed_batch")) ok = RunSkewedBatchStudy(&doc) && ok;
-  if (StudyEnabled("vectorized_exec")) ok = RunVectorizedExecStudy(&doc) && ok;
   if (StudyEnabled("bloom_probe")) ok = RunBloomProbeStudy(&doc) && ok;
   stubby::bench::WriteBenchJson("BENCH_MICRO.json", doc);
   return ok ? 0 : 1;

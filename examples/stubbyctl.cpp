@@ -116,7 +116,6 @@ Result<Plan> OptimizeWith(const std::string& name, const Workload& w) {
   if (name == "ysmart") return YSmartOptimize(w.plan);
   if (name == "mrshare") return MRShareOptimize(w.plan);
   StubbyOptions opts;
-  opts.columnar_storage = ColumnarStorageFromEnv();
   opts.bloom_transfer = BloomTransferFromEnv();
   if (name == "vertical") {
     opts.enable_horizontal = false;
@@ -137,8 +136,7 @@ Result<Plan> OptimizeWith(const std::string& name, const Workload& w) {
 }
 
 double RunPlan(const Workload& w, const Plan& plan, Dfs* out) {
-  WorkflowRunner runner(plan.cluster(), nullptr,
-                        ExecOptions{true, ColumnarStorageFromEnv()});
+  WorkflowRunner runner(plan.cluster());
   Dfs dfs = w.dfs;
   auto flow = runner.Run(plan, &dfs);
   STUBBY_CHECK_OK(flow.status());
@@ -467,7 +465,6 @@ int main(int argc, char** argv) {
     }
     ReuseSession session(&store);
     StubbyOptions opts;
-    opts.columnar_storage = ColumnarStorageFromEnv();
     opts.reoptimize = ReoptimizeFromEnv();
     opts.bloom_transfer = BloomTransferFromEnv();
 

@@ -8,195 +8,16 @@ namespace stubby {
 // ---------------------------------------------------------------------------
 // PartitionData
 
-struct PartitionData::Rep {
-  // Shape facts, immutable after construction.
-  size_t nrows = 0;
-  size_t ncols = 0;
-  bool columnar = false;       // payload can be exposed as a RowBatch
-  bool column_native = false;  // constructed column-first
-
-  // Column representation: present at construction when column_native,
-  // otherwise derived once on demand. Broadcast (stride-0) columns are
-  // preserved through storage, so a constant column stays one element no
-  // matter how many rows reference it.
-  mutable std::vector<RowBatch::ColumnPtr> cols;
-  mutable std::vector<uint32_t> strides;
-  mutable std::atomic<bool> cols_ready{false};
-
-  // Row representation: present at construction when row-native, otherwise
-  // derived once on demand.
-  mutable std::vector<Row> rows;
-  mutable std::atomic<bool> rows_ready{false};
-
-  // Per-row serialized-size prefix sums (size nrows + 1), derived lazily so
-  // constructing a partition from a batch stays O(columns). Integer sums in
-  // row order, so byte accounting is representation-independent.
-  mutable std::vector<uint64_t> byte_prefix;
-  mutable std::atomic<bool> bytes_ready{false};
-
-  // Guards lazy derivations (double-checked against the atomics above).
-  mutable std::mutex mu;
-
-  RowBatch View() const {
-    return RowBatch::FromColumns(cols, strides, nrows);
-  }
-
-  void EnsureColumns() const {
-    if (cols_ready.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(mu);
-    if (cols_ready.load(std::memory_order_relaxed)) return;
-    std::vector<RowBatch::ColumnPtr> derived;
-    derived.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      auto col = std::make_shared<RowBatch::Column>();
-      col->reserve(nrows);
-      for (const Row& r : rows) col->push_back(r[c]);
-      derived.push_back(std::move(col));
-    }
-    cols = std::move(derived);
-    strides.assign(ncols, 1);
-    cols_ready.store(true, std::memory_order_release);
-  }
-
-  void EnsureRows() const {
-    if (rows_ready.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(mu);
-    if (rows_ready.load(std::memory_order_relaxed)) return;
-    std::vector<Row> derived;
-    derived.reserve(nrows);
-    for (size_t i = 0; i < nrows; ++i) {
-      std::vector<Value> values;
-      values.reserve(ncols);
-      for (size_t c = 0; c < ncols; ++c) {
-        values.push_back((*cols[c])[i * strides[c]]);
-      }
-      derived.emplace_back(std::move(values));
-    }
-    rows = std::move(derived);
-    rows_ready.store(true, std::memory_order_release);
-  }
-
-  void EnsureBytes() const {
-    if (bytes_ready.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(mu);
-    if (bytes_ready.load(std::memory_order_relaxed)) return;
-    std::vector<uint64_t> prefix(nrows + 1, 0);
-    if (rows_ready.load(std::memory_order_acquire)) {
-      for (size_t i = 0; i < nrows; ++i) {
-        prefix[i + 1] = prefix[i] + rows[i].SerializedSize();
-      }
-    } else {
-      // Column-native and rows not yet materialized: size rows through a
-      // batch view so the per-row framing constant stays in one place.
-      RowBatch view = View();
-      for (size_t i = 0; i < nrows; ++i) {
-        prefix[i + 1] = prefix[i] + view.RowSerializedSize(i);
-      }
-    }
-    byte_prefix = std::move(prefix);
-    bytes_ready.store(true, std::memory_order_release);
-  }
-};
-
 PartitionData::PartitionData() : PartitionData(std::vector<Row>{}) {}
 
-PartitionData::PartitionData(std::vector<Row> rows)
-    : rep_(std::make_shared<Rep>()) {
-  rep_->nrows = rows.size();
-  bool uniform = true;
-  size_t arity = rows.empty() ? 0 : rows.front().size();
-  for (const Row& r : rows) {
-    if (r.size() != arity) {
-      uniform = false;
-      break;
-    }
+PartitionData::PartitionData(std::vector<Row> rows) {
+  auto rep = std::make_shared<Rep>();
+  rep->byte_prefix.resize(rows.size() + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rep->byte_prefix[i + 1] = rep->byte_prefix[i] + rows[i].SerializedSize();
   }
-  rep_->ncols = uniform ? arity : 0;
-  rep_->columnar = uniform && !rows.empty();
-  rep_->rows = std::move(rows);
-  rep_->rows_ready.store(true, std::memory_order_release);
-}
-
-PartitionData PartitionData::FromBatch(const RowBatch& batch) {
-  PartitionData pd;
-  pd.rep_ = std::make_shared<Rep>();
-  Rep& rep = *pd.rep_;
-  rep.nrows = batch.num_rows();
-  rep.ncols = batch.num_columns();
-  rep.columnar = true;
-  rep.column_native = true;
-
-  const auto& sel = batch.selection();
-  bool identity = batch.num_rows() == batch.physical_rows();
-  if (identity) {
-    for (size_t i = 0; i < sel.size(); ++i) {
-      if (sel[i] != i) {
-        identity = false;
-        break;
-      }
-    }
-  }
-  if (identity) {
-    // Dense batch: share the columns verbatim, broadcast columns included.
-    rep.cols = batch.columns();
-    rep.strides = batch.strides();
-  } else {
-    // Gather the live rows per column; broadcast columns stay broadcast.
-    rep.cols.reserve(rep.ncols);
-    rep.strides.reserve(rep.ncols);
-    for (size_t c = 0; c < rep.ncols; ++c) {
-      if (batch.strides()[c] == 0) {
-        rep.cols.push_back(batch.columns()[c]);
-        rep.strides.push_back(0);
-        continue;
-      }
-      auto col = std::make_shared<RowBatch::Column>();
-      col->reserve(sel.size());
-      for (uint32_t phys : sel) col->push_back(batch.ValueAt(c, phys));
-      rep.cols.push_back(std::move(col));
-      rep.strides.push_back(1);
-    }
-  }
-  rep.cols_ready.store(true, std::memory_order_release);
-  return pd;
-}
-
-size_t PartitionData::num_rows() const { return rep_->nrows; }
-
-bool PartitionData::columnar() const { return rep_->columnar; }
-
-size_t PartitionData::num_columns() const { return rep_->ncols; }
-
-bool PartitionData::column_native() const { return rep_->column_native; }
-
-const std::vector<Row>& PartitionData::rows() const {
-  rep_->EnsureRows();
-  return rep_->rows;
-}
-
-RowBatch PartitionData::AsBatch() const {
-  rep_->EnsureColumns();
-  return rep_->View();
-}
-
-RowBatch PartitionData::BatchSlice(size_t lo, size_t hi) const {
-  rep_->EnsureColumns();
-  RowBatch batch = rep_->View();
-  std::vector<uint32_t> sel;
-  sel.reserve(hi - lo);
-  for (size_t i = lo; i < hi; ++i) sel.push_back(static_cast<uint32_t>(i));
-  batch.SetSelection(std::move(sel));
-  return batch;
-}
-
-uint64_t PartitionData::raw_bytes() const {
-  rep_->EnsureBytes();
-  return rep_->byte_prefix.back();
-}
-
-uint64_t PartitionData::RangeBytes(size_t lo, size_t hi) const {
-  rep_->EnsureBytes();
-  return rep_->byte_prefix[hi] - rep_->byte_prefix[lo];
+  rep->rows = std::move(rows);
+  rep_ = std::move(rep);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,17 +44,6 @@ std::vector<Row> StoredDataset::AllRows() const {
   out.reserve(num_rows_);
   for (const auto& p : partitions_) {
     const auto& rows = p.rows();
-    out.insert(out.end(), rows.begin(), rows.end());
-  }
-  return out;
-}
-
-std::vector<Row> StoredDataset::RowsOfPartitions(
-    const std::vector<int>& parts) const {
-  std::vector<Row> out;
-  for (int i : parts) {
-    if (i < 0 || static_cast<size_t>(i) >= partitions_.size()) continue;
-    const auto& rows = partitions_[static_cast<size_t>(i)].rows();
     out.insert(out.end(), rows.begin(), rows.end());
   }
   return out;

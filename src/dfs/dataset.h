@@ -2,85 +2,50 @@
 // file-system. Payloads are kept partitioned so that partition pruning,
 // range layouts, and pre-sorted inputs behave like their on-disk
 // counterparts.
-//
-// Partitions are held as PartitionData: a dual-representation payload that
-// can be either row-native or column-native, with the other representation
-// derived lazily and cached. The vectorized executor scans column-native
-// partitions as zero-copy RowBatch views (no per-chunk FromRows), while
-// row-path consumers (signatures, catalog persistence, merge-mode reads)
-// keep seeing `const std::vector<Row>&` exactly as before. Byte accounting
-// is representation-independent: per-row serialized sizes are integer-summed
-// in row order, so raw_bytes()/RangeBytes() are bit-identical however the
-// payload is stored.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "dfs/layout.h"
-#include "mr/row_batch.h"
 #include "mr/schema.h"
 #include "mr/tuple.h"
 
 namespace stubby {
 
-/// One partition's payload, stored row-native or column-native. Cheap to
-/// copy: state lives in an immutable shared representation (only the lazy
-/// caches mutate, under a mutex). Concurrent readers are safe.
+/// One partition's payload: its rows plus per-row serialized-size prefix
+/// sums, so the byte size of any row range is O(1). Cheap to copy: the
+/// payload is an immutable shared representation, so cloning a dataset or
+/// cutting map-task chunks shares rows instead of copying them. Concurrent
+/// readers are safe.
 class PartitionData {
  public:
-  /// Empty partition (row-native, zero rows).
+  /// Empty partition.
   PartitionData();
 
-  /// Row-native payload. Columnar-capable iff all rows have equal arity
-  /// (columns are then derived lazily on first batch access).
   explicit PartitionData(std::vector<Row> rows);
 
-  /// Column-native payload sharing the batch's columns (zero-copy when the
-  /// batch is dense with an identity selection; otherwise the selected
-  /// values are gathered per column, preserving broadcast columns).
-  static PartitionData FromBatch(const RowBatch& batch);
+  size_t num_rows() const { return rep_->rows.size(); }
+  const std::vector<Row>& rows() const { return rep_->rows; }
 
-  /// Physical row count.
-  size_t num_rows() const;
-
-  /// True if the payload can be exposed as a RowBatch (column-native, or
-  /// row-native with uniform arity).
-  bool columnar() const;
-
-  /// Column count; only meaningful when columnar().
-  size_t num_columns() const;
-
-  /// True if the payload was constructed column-native (vs derived).
-  bool column_native() const;
-
-  /// Rows, deriving and caching them from columns on first use.
-  const std::vector<Row>& rows() const;
-
-  /// The whole partition as a batch sharing this partition's columns
-  /// (identity selection). Requires columnar().
-  RowBatch AsBatch() const;
-
-  /// Rows [lo, hi) as a batch sharing this partition's columns (selection
-  /// restricted to the range). Requires columnar() and lo <= hi <= num_rows.
-  RowBatch BatchSlice(size_t lo, size_t hi) const;
-
-  /// Sum of Row::SerializedSize over all rows (integer sum, row order —
-  /// identical for either representation).
-  uint64_t raw_bytes() const;
+  /// Sum of Row::SerializedSize over all rows.
+  uint64_t raw_bytes() const { return rep_->byte_prefix.back(); }
 
   /// Sum of Row::SerializedSize over rows [lo, hi).
-  uint64_t RangeBytes(size_t lo, size_t hi) const;
+  uint64_t RangeBytes(size_t lo, size_t hi) const {
+    return rep_->byte_prefix[hi] - rep_->byte_prefix[lo];
+  }
 
  private:
-  struct Rep;
-  std::shared_ptr<Rep> rep_;
+  struct Rep {
+    std::vector<Row> rows;
+    std::vector<uint64_t> byte_prefix;  // size rows.size() + 1
+  };
+  std::shared_ptr<const Rep> rep_;
 };
 
 /// One dataset in the simulated DFS.
@@ -97,12 +62,12 @@ class StoredDataset {
 
   size_t num_partitions() const { return partitions_.size(); }
 
-  /// Partition `i` as rows (lazily materialized from columns if needed).
+  /// Partition `i`'s rows.
   const std::vector<Row>& partition(size_t i) const {
     return partitions_[i].rows();
   }
 
-  /// Partition `i`'s payload, representation and all (columnar scan path).
+  /// Partition `i`'s shared payload (rows and byte prefix sums).
   const PartitionData& partition_data(size_t i) const {
     return partitions_[i];
   }
@@ -140,9 +105,6 @@ class StoredDataset {
 
   /// All rows concatenated (for result comparison in tests).
   std::vector<Row> AllRows() const;
-
-  /// Rows of the partitions listed in `parts` only (partition pruning path).
-  std::vector<Row> RowsOfPartitions(const std::vector<int>& parts) const;
 
   /// Builds a dataset by distributing `rows` according to `layout` over
   /// `num_partitions` buckets (hash/range partitioning + per-partition sort).

@@ -97,7 +97,7 @@ Result<AdaptiveRunResult> AdaptiveRunner::Run(const Plan& plan,
   CostEstimate predicted = whatif.Cost(current);
   bool adaptive = options_.reoptimize && !predicted.fallback;
 
-  JobRunner job_runner(cluster_, pool_, exec_);
+  JobRunner job_runner(cluster_, pool_);
   PhaseTimeModel model(cluster_);
 
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,

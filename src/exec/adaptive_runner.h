@@ -58,7 +58,7 @@ struct AdaptiveRunResult {
 
 /// True when STUBBY_REOPT=1 (or any value but "0") in the environment;
 /// `fallback` when unset. The CLI and benches seed
-/// StubbyOptions::reoptimize from this, mirroring STUBBY_COLUMNAR.
+/// StubbyOptions::reoptimize from this.
 bool ReoptimizeFromEnv(bool fallback = false);
 
 /// Executes plans end-to-end with optional mid-run suffix re-optimization.
@@ -68,12 +68,8 @@ bool ReoptimizeFromEnv(bool fallback = false);
 /// re-optimization search, bit-identically to a single-threaded run.
 class AdaptiveRunner {
  public:
-  AdaptiveRunner(ClusterSpec cluster, ThreadPool* pool, ExecOptions exec,
-                 StubbyOptions options)
-      : cluster_(std::move(cluster)),
-        pool_(pool),
-        exec_(exec),
-        options_(options) {}
+  AdaptiveRunner(ClusterSpec cluster, ThreadPool* pool, StubbyOptions options)
+      : cluster_(std::move(cluster)), pool_(pool), options_(options) {}
 
   /// Validates and runs `plan`. Base inputs must already exist in `dfs`;
   /// intermediate and output datasets are (re)created there.
@@ -82,7 +78,6 @@ class AdaptiveRunner {
  private:
   ClusterSpec cluster_;
   ThreadPool* pool_ = nullptr;
-  ExecOptions exec_;
   StubbyOptions options_;
 };
 

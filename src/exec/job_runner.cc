@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,25 +22,32 @@ uint64_t RowsBytes(const std::vector<Row>& rows) {
   return b;
 }
 
-/// Collects tee rows during one task; the caller drains per-dataset vectors
-/// after the task finishes (so per-task partition boundaries are kept).
+/// Tee output of one task: one finished partition per teed dataset.
+using TeePieces = std::map<std::string, PartitionData>;
+
+/// Collects tee rows during one task; Take() hands them over per dataset
+/// (so per-task partition boundaries are kept), sized inside the task.
 class TaskTeeSink : public TeeSink {
  public:
   void TeeEmit(const std::string& dataset_id, const Row& row) override {
     rows_[dataset_id].push_back(row);
   }
-  std::map<std::string, std::vector<Row>>& rows() { return rows_; }
+
+  TeePieces Take() {
+    TeePieces pieces;
+    for (auto& [id, rows] : rows_) {
+      pieces.emplace(id, PartitionData(std::move(rows)));
+    }
+    rows_.clear();
+    return pieces;
+  }
 
  private:
   std::map<std::string, std::vector<Row>> rows_;
 };
 
-using TeeRows = std::map<std::string, std::vector<Row>>;
-
 /// Accumulates a dataset under construction (per-partition payloads +
 /// scaled accounting so the stored dataset gets the right logical scale).
-/// Payloads arrive as rows (record path) or PartitionData (columnar path);
-/// byte accounting is identical either way.
 struct DatasetBuilder {
   std::vector<PartitionData> partitions;
   double scaled_records = 0.0;
@@ -49,39 +55,17 @@ struct DatasetBuilder {
   uint64_t physical_bytes = 0;
 
   void Add(PartitionData pd, double scale) {
-    uint64_t b = pd.raw_bytes();
-    scaled_records += static_cast<double>(pd.num_rows()) * scale;
-    scaled_bytes += static_cast<double>(b) * scale;
-    physical_bytes += b;
+    Account(pd, scale);
     partitions.push_back(std::move(pd));
   }
 
-  void Add(std::vector<Row> rows, double scale) {
-    Add(PartitionData(std::move(rows)), scale);
-  }
-
-  /// Ensures partition index `r` exists and appends to it (reduce outputs
-  /// are keyed by reduce task index).
+  /// Places reduce task `r`'s piece at partition index `r`. Each branch
+  /// owns its builder and the reduce merge visits each task once, so one
+  /// piece lands per index.
   void AddTo(size_t r, PartitionData pd, double scale) {
     if (partitions.size() <= r) partitions.resize(r + 1);
-    uint64_t b = pd.raw_bytes();
-    scaled_records += static_cast<double>(pd.num_rows()) * scale;
-    scaled_bytes += static_cast<double>(b) * scale;
-    physical_bytes += b;
-    if (partitions[r].num_rows() == 0) {
-      partitions[r] = std::move(pd);
-    } else {
-      // Only one piece lands per (branch, reduce task) today, but appends
-      // stay correct by concatenating through rows.
-      std::vector<Row> merged = partitions[r].rows();
-      const auto& extra = pd.rows();
-      merged.insert(merged.end(), extra.begin(), extra.end());
-      partitions[r] = PartitionData(std::move(merged));
-    }
-  }
-
-  void AddTo(size_t r, std::vector<Row> rows, double scale) {
-    AddTo(r, PartitionData(std::move(rows)), scale);
+    Account(pd, scale);
+    partitions[r] = std::move(pd);
   }
 
   double LogicalScale() const {
@@ -89,44 +73,22 @@ struct DatasetBuilder {
                ? scaled_bytes / static_cast<double>(physical_bytes)
                : 1.0;
   }
+
+ private:
+  void Account(const PartitionData& pd, double scale) {
+    uint64_t b = pd.raw_bytes();
+    scaled_records += static_cast<double>(pd.num_rows()) * scale;
+    scaled_bytes += static_cast<double>(b) * scale;
+    physical_bytes += b;
+  }
 };
 
-/// Physical partitions of `ds` selected by a prune list (all when empty).
-/// Pruning selects a partition *set*: the list is canonicalized (sorted,
-/// deduplicated) so permuted or duplicated prune entries read the same
-/// physical data in the same order. A prune entry referencing a partition
-/// the dataset does not have means the plan and the stored data disagree —
-/// silently skipping it would under-read the input, so it is an error.
-Result<std::vector<int>> SelectedPartitions(const StoredDataset& ds,
-                                            const std::vector<int>& prune) {
-  std::vector<int> parts;
-  if (prune.empty()) {
-    for (size_t i = 0; i < ds.num_partitions(); ++i) {
-      parts.push_back(static_cast<int>(i));
-    }
-  } else {
-    for (int p : CanonicalPrunePartitions(prune)) {
-      if (p < 0 || static_cast<size_t>(p) >= ds.num_partitions()) {
-        return Status::InvalidArgument(
-            "prune partition " + std::to_string(p) + " out of range: dataset '" +
-            ds.id() + "' has " + std::to_string(ds.num_partitions()) +
-            " partitions");
-      }
-      parts.push_back(p);
-    }
-  }
-  return parts;
-}
-
 /// One sorted (and possibly combined) reduce bucket produced by a map task.
-/// The payload is either rows (record path) or a batch sharing the map
-/// output's columns under a sorted selection (columnar path).
 struct ShuffleBucket {
   size_t r = 0;
-  uint64_t sorted_bytes = 0;   ///< pre-combine, post-sort
-  uint64_t pre_records = 0;    ///< pre-combine
-  std::vector<Row> post_rows;  ///< after the (physical) combiner
-  std::optional<RowBatch> post_batch;  ///< columnar alternative to post_rows
+  uint64_t sorted_bytes = 0;  ///< pre-combine, post-sort
+  uint64_t pre_records = 0;   ///< pre-combine
+  std::vector<Row> rows;      ///< after the (physical) combiner
 };
 
 /// Partitioned/sorted/combined map output of one task for one branch. Pure
@@ -140,11 +102,6 @@ struct ShuffledOutput {
 };
 
 }  // namespace
-
-bool ColumnarStorageFromEnv() {
-  const char* env = std::getenv("STUBBY_COLUMNAR");
-  return env == nullptr || std::string(env) != "0";
-}
 
 Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
                                            const Dfs& dfs) {
@@ -199,16 +156,10 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     std::vector<size_t> partition_sort_indices;  // in map-output schema
     std::vector<size_t> group_indices;           // combiner grouping
     std::optional<Partitioner> partitioner;
-    // True when the branch runs the columnar end-to-end path: every input
-    // map pipeline is batch-eligible, the reduce pipeline is batchable (or
-    // empty), and any active combiner has a batch kernel. Buckets then flow
-    // as reduce_batches instead of reduce_buckets.
-    bool columnar = false;
-    // reduce_buckets[r]: rows destined for reduce task r, plus scaled
-    // accounting (pre-combine) for skew measurement.
-    std::vector<std::vector<Row>> reduce_buckets;
-    // reduce_batches[r]: columnar alternative (batches in map-task order).
-    std::vector<std::vector<RowBatch>> reduce_batches;
+    // reduce_buckets[r]: the pieces destined for reduce task r, one per
+    // map task in task order (reduce task r concatenates them), plus
+    // scaled accounting (pre-combine) for skew measurement.
+    std::vector<std::vector<std::vector<Row>>> reduce_buckets;
     std::vector<double> bucket_scaled_bytes;      // pre-combine, logical
     std::vector<double> bucket_scaled_records;    // pre-combine, logical
     std::vector<uint64_t> bucket_physical_records;       // pre-combine
@@ -238,21 +189,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     std::vector<std::string> group = b.GroupFields();
     STUBBY_ASSIGN_OR_RETURN(st.group_indices,
                             b.map_output_schema.IndicesOf(group));
-    if (exec_.vectorized && exec_.columnar && !b.merge_mode() &&
-        BatchReducePipeline::Eligible(b.reduce_stages)) {
-      bool inputs_eligible = true;
-      for (const BranchInput& in : b.inputs) {
-        if (!BatchPipelineRunner::Eligible(in.map_stages)) {
-          inputs_eligible = false;
-          break;
-        }
-      }
-      bool combiner_ok = !(job.config.use_combiner && b.combiner != nullptr) ||
-                         b.combiner->supports_batch();
-      st.columnar = inputs_eligible && combiner_ok;
-    }
     st.reduce_buckets.assign(static_cast<size_t>(R), {});
-    st.reduce_batches.assign(static_cast<size_t>(R), {});
     st.bucket_scaled_bytes.assign(static_cast<size_t>(R), 0.0);
     st.bucket_scaled_records.assign(static_cast<size_t>(R), 0.0);
     st.bucket_physical_records.assign(static_cast<size_t>(R), 0);
@@ -277,13 +214,13 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     }
   }
 
-  auto drain_tee = [&](TeeRows& tee_rows, double scale) {
-    for (auto& [id, rows] : tee_rows) {
-      uint64_t b = RowsBytes(rows);
-      df.tee_bytes += static_cast<uint64_t>(static_cast<double>(b) * scale);
-      tee_builders[id].Add(std::move(rows), scale);
+  auto drain_tee = [&](TeePieces& tee, double scale) {
+    for (auto& [id, pd] : tee) {
+      df.tee_bytes += static_cast<uint64_t>(
+          static_cast<double>(pd.raw_bytes()) * scale);
+      tee_builders[id].Add(std::move(pd), scale);
     }
-    tee_rows.clear();
+    tee.clear();
   };
 
   // Task side of the shuffle: partition one map task's output for branch
@@ -322,107 +259,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         bucket =
             RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
       }
-      sb.post_rows = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
-    return so;
-  };
-
-  // Columnar variant of compute_shuffle: hashes, partitions, and sorts on
-  // the batch (a stable index sort yields the same permutation as the row
-  // path's stable sort), materializing rows only once per sorted bucket.
-  // The RowBatch accounting helpers reproduce the per-Row byte/hash/compare
-  // results exactly, so the ShuffledOutput is bit-identical.
-  auto compute_shuffle_batch = [&](size_t bi,
-                                   const RowBatch& batch) -> ShuffledOutput {
-    const Branch& b = job.branches[bi];
-    const BranchState& st = bstate[bi];
-    ShuffledOutput so;
-    const size_t n = batch.num_rows();
-    so.out_bytes = batch.TotalSerializedBytes();
-    so.out_records = n;
-    so.group_hashes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      so.group_hashes.push_back(batch.HashOnFields(i, st.group_indices));
-    }
-    std::vector<std::vector<uint32_t>> buckets(static_cast<size_t>(R));
-    for (size_t i = 0; i < n; ++i) {
-      int r = st.partitioner->PartitionOf(batch, i, R);
-      buckets[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& idx = buckets[r];
-      if (idx.empty()) continue;
-      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t bb) {
-        return batch.Compare(a, bb, st.partition_sort_indices) < 0;
-      });
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.pre_records = idx.size();
-      std::vector<Row> bucket;
-      bucket.reserve(idx.size());
-      for (uint32_t i : idx) {
-        sb.sorted_bytes += batch.RowSerializedSize(i);
-        bucket.push_back(batch.MaterializeRow(i));
-      }
-      if (job.config.use_combiner && b.combiner != nullptr) {
-        double combine_cpu = 0.0;
-        bucket =
-            RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
-      }
-      sb.post_rows = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
-    return so;
-  };
-
-  // Column-native compute_shuffle_batch for branches on the end-to-end
-  // columnar path (bstate[bi].columnar): buckets stay batches whose sorted
-  // selection indexes the map output's shared columns, so no row is
-  // materialized between the map kernel and the reduce kernel. The combiner,
-  // when active, runs its batch kernel over equal-key runs (output rows
-  // match RunCombiner; its cpu out-param is discarded here exactly like the
-  // row path's — combine CPU is modeled analytically after the map phase).
-  auto compute_shuffle_columnar = [&](size_t bi,
-                                      const RowBatch& batch) -> ShuffledOutput {
-    const Branch& b = job.branches[bi];
-    const BranchState& st = bstate[bi];
-    ShuffledOutput so;
-    const size_t n = batch.num_rows();
-    so.out_bytes = batch.TotalSerializedBytes();
-    so.out_records = n;
-    so.group_hashes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      so.group_hashes.push_back(batch.HashOnFields(i, st.group_indices));
-    }
-    std::vector<std::vector<uint32_t>> buckets(static_cast<size_t>(R));
-    for (size_t i = 0; i < n; ++i) {
-      int r = st.partitioner->PartitionOf(batch, i, R);
-      buckets[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& idx = buckets[r];
-      if (idx.empty()) continue;
-      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t bb) {
-        return batch.Compare(a, bb, st.partition_sort_indices) < 0;
-      });
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.pre_records = idx.size();
-      std::vector<uint32_t> sel;
-      sel.reserve(idx.size());
-      for (uint32_t i : idx) {
-        sb.sorted_bytes += batch.RowSerializedSize(i);
-        sel.push_back(batch.selection()[i]);
-      }
-      RowBatch bucket = batch;  // shares columns
-      bucket.SetSelection(std::move(sel));
-      if (job.config.use_combiner && b.combiner != nullptr) {
-        double combine_cpu = 0.0;
-        bucket = RunCombinerBatch(*b.combiner, bucket, st.group_indices,
-                                  &combine_cpu);
-      }
-      sb.post_batch = std::move(bucket);
+      sb.rows = std::move(bucket);
       so.buckets.push_back(std::move(sb));
     }
     return so;
@@ -448,15 +285,8 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       st.bucket_scaled_records[sb.r] +=
           static_cast<double>(sb.pre_records) * scale;
       st.bucket_physical_records[sb.r] += sb.pre_records;
-      if (sb.post_batch.has_value()) {
-        st.bucket_physical_post_records[sb.r] += sb.post_batch->num_rows();
-        st.reduce_batches[sb.r].push_back(std::move(*sb.post_batch));
-      } else {
-        st.bucket_physical_post_records[sb.r] += sb.post_rows.size();
-        auto& dst = st.reduce_buckets[sb.r];
-        dst.insert(dst.end(), std::make_move_iterator(sb.post_rows.begin()),
-                   std::make_move_iterator(sb.post_rows.end()));
-      }
+      st.bucket_physical_post_records[sb.r] += sb.rows.size();
+      st.reduce_buckets[sb.r].push_back(std::move(sb.rows));
     }
   };
 
@@ -515,9 +345,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     std::vector<BuildPiece> build_pieces(build_parts.size());
     RunTasks(pool_, build_parts.size(), [&](size_t pi) {
       BuildPiece& piece = build_pieces[pi];
-      const std::vector<Row>& part =
-          build_ds->partition(static_cast<size_t>(build_parts[pi]));
-      piece.pb = RowsBytes(part);
+      const PartitionData& part =
+          build_ds->partition_data(static_cast<size_t>(build_parts[pi]));
+      piece.pb = part.raw_bytes();
       TaskTeeSink tee;
       VectorEmitter out;
       auto runner = PipelineRunner::Make(build.map_stages, build_ds->schema(),
@@ -526,7 +356,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         piece.status = runner.status();
         return;
       }
-      for (const Row& row : part) (*runner)->Emit(row);
+      for (const Row& row : part.rows()) (*runner)->Emit(row);
       (*runner)->Finish();
       piece.cpu_units = (*runner)->counters().cpu_units;
       piece.partial = std::make_unique<BloomFilter>(
@@ -570,11 +400,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
   // Serial task formation: one task per (group, chunk). A chunk is a list
   // of partition segments — views into PartitionData payloads — so forming
   // tasks copies no rows: aligned reads take whole partitions, size-based
-  // splits take [lo, hi) ranges of consecutive partitions. Chunk boundaries
-  // (task counts, per-task record ranges) are identical to the historical
-  // row-gathering formation.
+  // splits take [lo, hi) ranges of consecutive partitions.
   struct ChunkSeg {
-    PartitionData pd;  // shares the dataset partition's representation
+    PartitionData pd;  // shares the dataset partition's rows
     size_t lo = 0;
     size_t hi = 0;
   };
@@ -620,7 +448,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         size_t lo = std::min(total_rows, static_cast<size_t>(t) * per);
         size_t hi = std::min(total_rows, lo + per);
         // Map the global row range [lo, hi) onto partition segments, in
-        // `parts` order (the concatenation order of RowsOfPartitions).
+        // `parts` order.
         std::vector<ChunkSeg> segs;
         size_t off = 0;
         for (int p : parts) {
@@ -646,72 +474,14 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     }
   }
 
-  // Builds the shared columnar view of a task's chunk. With columnar
-  // storage on, single-segment chunks are zero-copy views of the stored
-  // columns (identity or range selection); multi-segment chunks gather
-  // column-wise. With it off — or for ragged/width-mismatched payloads —
-  // rows are gathered and converted per chunk, the PR-6 framing.
-  auto make_chunk_batch = [&](const MapTask& t) -> RowBatch {
-    const size_t nschema = t.ds->schema().size();
-    if (exec_.columnar && !t.segs.empty()) {
-      bool view_ok = true;
-      for (const ChunkSeg& seg : t.segs) {
-        if (!seg.pd.columnar() || seg.pd.num_columns() != nschema) {
-          view_ok = false;
-          break;
-        }
-      }
-      if (view_ok) {
-        if (t.segs.size() == 1) {
-          const ChunkSeg& seg = t.segs.front();
-          if (seg.lo == 0 && seg.hi == seg.pd.num_rows()) {
-            return seg.pd.AsBatch();
-          }
-          return seg.pd.BatchSlice(seg.lo, seg.hi);
-        }
-        size_t total = 0;
-        for (const ChunkSeg& seg : t.segs) total += seg.hi - seg.lo;
-        std::vector<RowBatch> views;
-        views.reserve(t.segs.size());
-        for (const ChunkSeg& seg : t.segs) views.push_back(seg.pd.AsBatch());
-        std::vector<RowBatch::ColumnPtr> cols;
-        cols.reserve(nschema);
-        for (size_t c = 0; c < nschema; ++c) {
-          auto col = std::make_shared<RowBatch::Column>();
-          col->reserve(total);
-          for (size_t s = 0; s < t.segs.size(); ++s) {
-            for (size_t i = t.segs[s].lo; i < t.segs[s].hi; ++i) {
-              col->push_back(views[s].ValueAt(c, static_cast<uint32_t>(i)));
-            }
-          }
-          cols.push_back(std::move(col));
-        }
-        return RowBatch::FromColumns(std::move(cols),
-                                     std::vector<uint32_t>(nschema, 1),
-                                     total);
-      }
-    }
-    std::vector<Row> rows;
-    size_t total = 0;
-    for (const ChunkSeg& seg : t.segs) total += seg.hi - seg.lo;
-    rows.reserve(total);
-    for (const ChunkSeg& seg : t.segs) {
-      const auto& src = seg.pd.rows();
-      rows.insert(rows.end(), src.begin() + static_cast<long>(seg.lo),
-                  src.begin() + static_cast<long>(seg.hi));
-    }
-    return RowBatch::FromRows(rows, nschema);
-  };
-
   // Parallel compute: every subscribing branch pipeline over the shared
   // scan, plus the per-branch shuffle work.
   struct SubscriberPiece {
     Status status = Status::OK();
     double cpu_units = 0.0;
-    TeeRows tee;
-    std::vector<Row> out_rows;            // map-only branches (row path)
-    std::optional<PartitionData> out_pd;  // map-only, columnar path
-    ShuffledOutput shuffled;              // shuffle branches
+    TeePieces tee;
+    PartitionData out;        // map-only branches
+    ShuffledOutput shuffled;  // shuffle branches
   };
   struct MapTaskResult {
     uint64_t chunk_bytes = 0;
@@ -726,36 +496,13 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       res.chunk_rows += seg.hi - seg.lo;
       res.chunk_bytes += seg.pd.RangeBytes(seg.lo, seg.hi);
     }
-    // One columnar view of the chunk serves every eligible subscriber
-    // (pipelines share the input columns; kernels never mutate them).
-    std::optional<RowBatch> chunk_batch;
     for (const auto& [bi, ii] : t.group->subscribers) {
       SubscriberPiece& piece = res.pieces.emplace_back();
       const Branch& b = job.branches[bi];
-      const std::vector<Stage>& stages = eff_stages[bi][ii];
-      if (exec_.vectorized && BatchPipelineRunner::Eligible(stages)) {
-        if (!chunk_batch) chunk_batch = make_chunk_batch(t);
-        BatchPipelineRunner runner = BatchPipelineRunner::Make(stages);
-        RowBatch out = runner.Run(*chunk_batch);
-        piece.cpu_units = runner.counters().cpu_units;
-        if (b.map_only()) {
-          if (exec_.columnar) {
-            piece.out_pd = PartitionData::FromBatch(out);
-            piece.out_pd->raw_bytes();  // size in-task, off the merge path
-          } else {
-            piece.out_rows = out.ToRows();
-          }
-        } else if (bstate[bi].columnar) {
-          piece.shuffled = compute_shuffle_columnar(bi, out);
-        } else {
-          piece.shuffled = compute_shuffle_batch(bi, out);
-        }
-        continue;
-      }
       TaskTeeSink tee;
       VectorEmitter out;
-      auto runner =
-          PipelineRunner::Make(stages, t.ds->schema(), &out, &tee);
+      auto runner = PipelineRunner::Make(eff_stages[bi][ii], t.ds->schema(),
+                                         &out, &tee);
       if (!runner.ok()) {
         piece.status = runner.status();
         continue;
@@ -766,9 +513,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       }
       (*runner)->Finish();
       piece.cpu_units = (*runner)->counters().cpu_units;
-      piece.tee = std::move(tee.rows());
+      piece.tee = tee.Take();
       if (b.map_only()) {
-        piece.out_rows = std::move(out.rows());
+        piece.out = PartitionData(std::move(out.rows()));
       } else {
         piece.shuffled = compute_shuffle(bi, std::move(out.rows()));
       }
@@ -787,16 +534,11 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     for (size_t si = 0; si < res.pieces.size(); ++si) {
       SubscriberPiece& piece = res.pieces[si];
       if (!piece.status.ok()) return piece.status;
-      const auto& [bi, ii] = t.group->subscribers[si];
-      (void)ii;
+      const size_t bi = t.group->subscribers[si].first;
       df.map_cpu_units += piece.cpu_units * t.scale;
       drain_tee(piece.tee, t.scale);
       if (job.branches[bi].map_only()) {
-        if (piece.out_pd.has_value()) {
-          bstate[bi].output.Add(std::move(*piece.out_pd), t.scale);
-        } else {
-          bstate[bi].output.Add(std::move(piece.out_rows), t.scale);
-        }
+        bstate[bi].output.Add(std::move(piece.out), t.scale);
       } else {
         merge_shuffle(bi, std::move(piece.shuffled), t.scale);
       }
@@ -806,10 +548,6 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
   map_tasks.clear();
 
   // ---- Map phase: merge-mode branches (co-aligned inputs) -----------------
-  // Merge-mode branches stay on the record-at-a-time path regardless of
-  // ExecOptions::vectorized: their per-input streams are concatenated and
-  // re-sorted across pipelines, which breaks the single-physical-index-space
-  // invariant batch pipelines rely on for exact CPU-accounting replay.
   struct MergeBranchCtx {
     size_t bi = 0;
     std::vector<DatasetPtr> inputs_ds;
@@ -853,7 +591,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     uint64_t pb = 0;  ///< physical bytes read
     size_t nrows = 0;
     double cpu_units = 0.0;
-    TeeRows tee;
+    TeePieces tee;
   };
   struct MergeTaskResult {
     Status status = Status::OK();
@@ -861,9 +599,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     uint64_t task_logical_bytes = 0;
     double task_scale = 1.0;
     double merged_cpu_units = 0.0;
-    TeeRows merged_tee;
-    std::vector<Row> out_rows;  // map-only branches
-    ShuffledOutput shuffled;    // shuffle branches
+    TeePieces merged_tee;
+    PartitionData out;        // map-only branches
+    ShuffledOutput shuffled;  // shuffle branches
   };
   std::vector<MergeTaskResult> merge_results(merge_tasks.size());
   RunTasks(pool_, merge_tasks.size(), [&](size_t ti) {
@@ -878,9 +616,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     for (size_t i = 0; i < b.inputs.size(); ++i) {
       if (t >= ctx.inputs_parts[i].size()) continue;
       const StoredDataset& ds = *ctx.inputs_ds[i];
-      const std::vector<Row>& part =
-          ds.partition(static_cast<size_t>(ctx.inputs_parts[i][t]));
-      uint64_t pb = RowsBytes(part);
+      const PartitionData& part =
+          ds.partition_data(static_cast<size_t>(ctx.inputs_parts[i][t]));
+      uint64_t pb = part.raw_bytes();
       // Same arithmetic as account_input's `logical`, without the dataflow
       // mutation (that happens at merge).
       uint64_t logical = static_cast<uint64_t>(static_cast<double>(pb) *
@@ -892,7 +630,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       MergeInputPiece& piece = res.pieces.emplace_back();
       piece.input_index = i;
       piece.pb = pb;
-      piece.nrows = part.size();
+      piece.nrows = part.num_rows();
       TaskTeeSink tee;
       VectorEmitter out;
       auto runner = PipelineRunner::Make(b.inputs[i].map_stages, ds.schema(),
@@ -901,10 +639,10 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         res.status = runner.status();
         return;
       }
-      for (const Row& row : part) (*runner)->Emit(row);
+      for (const Row& row : part.rows()) (*runner)->Emit(row);
       (*runner)->Finish();
       piece.cpu_units = (*runner)->counters().cpu_units;
-      piece.tee = std::move(tee.rows());
+      piece.tee = tee.Take();
       merged.insert(merged.end(), std::make_move_iterator(out.rows().begin()),
                     std::make_move_iterator(out.rows().end()));
     }
@@ -926,12 +664,12 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       res.status = runner.status();
       return;
     }
-    for (const Row& row : merged) (*runner)->Emit(row);
+    for (Row& row : merged) (*runner)->Emit(std::move(row));
     (*runner)->Finish();
     res.merged_cpu_units = (*runner)->counters().cpu_units;
-    res.merged_tee = std::move(tee.rows());
+    res.merged_tee = tee.Take();
     if (b.map_only()) {
-      res.out_rows = std::move(out.rows());
+      res.out = PartitionData(std::move(out.rows()));
     } else {
       res.shuffled = compute_shuffle(ctx.bi, std::move(out.rows()));
     }
@@ -953,7 +691,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     df.map_cpu_units += res.merged_cpu_units * res.task_scale;
     drain_tee(res.merged_tee, res.task_scale);
     if (b.map_only()) {
-      bstate[ctx.bi].output.Add(std::move(res.out_rows), res.task_scale);
+      bstate[ctx.bi].output.Add(std::move(res.out), res.task_scale);
     } else {
       merge_shuffle(ctx.bi, std::move(res.shuffled), res.task_scale);
     }
@@ -989,22 +727,15 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
   }
 
   // ---- Reduce phase --------------------------------------------------------
-  // Columnar branches (bstate.columnar) run the reduce side batched: the
-  // per-map bucket batches are concatenated in task order, sorted by
-  // selection permutation (same stable sort, same comparator, same initial
-  // order as the row path — hence the same permutation), and grouped runs go
-  // through the reducer's batch kernel. Everything else runs
-  // record-at-a-time exactly as before.
   if (!map_only) {
     // One task per reduce partition; task r exclusively owns every branch's
-    // bucket r, so sorting in place and draining the rows is race-free.
+    // bucket r, so concatenating and draining its pieces is race-free.
     struct ReducePiece {
       Status status = Status::OK();
       bool had_rows = false;
       double cpu_units = 0.0;
-      TeeRows tee;
-      std::vector<Row> out_rows;            // row path
-      std::optional<PartitionData> out_pd;  // columnar path
+      TeePieces tee;
+      PartitionData out;
     };
     struct ReduceTaskResult {
       std::vector<ReducePiece> pieces;  // indexed by branch
@@ -1019,65 +750,22 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         BranchState& st = bstate[bi];
         ReducePiece& piece = res.pieces[bi];
 
-        if (st.columnar) {
-          auto& batches = st.reduce_batches[ri];
+        // Concatenate the map tasks' pieces in task order.
+        std::vector<std::vector<Row>>& bucket = st.reduce_buckets[ri];
+        std::vector<Row> rows;
+        if (bucket.size() == 1) {
+          rows = std::move(bucket.front());
+        } else {
           size_t total = 0;
-          for (const RowBatch& rb : batches) total += rb.num_rows();
-          piece.had_rows = total > 0;
-          RowBatch merged;
-          if (batches.size() == 1) {
-            merged = std::move(batches.front());
-          } else {
-            // Concatenate the bucket batches (map-task order) column-wise
-            // into one dense batch — the columnar twin of the row path's
-            // bucket concatenation.
-            const size_t ncols = b.map_output_schema.size();
-            std::vector<RowBatch::ColumnPtr> cols;
-            cols.reserve(ncols);
-            for (size_t c = 0; c < ncols; ++c) {
-              auto col = std::make_shared<RowBatch::Column>();
-              col->reserve(total);
-              for (const RowBatch& rb : batches) {
-                for (size_t i = 0; i < rb.num_rows(); ++i) {
-                  col->push_back(rb.At(i, c));
-                }
-              }
-              cols.push_back(std::move(col));
-            }
-            merged = RowBatch::FromColumns(
-                std::move(cols), std::vector<uint32_t>(ncols, 1), total);
+          for (const std::vector<Row>& part : bucket) total += part.size();
+          rows.reserve(total);
+          for (std::vector<Row>& part : bucket) {
+            rows.insert(rows.end(), std::make_move_iterator(part.begin()),
+                        std::make_move_iterator(part.end()));
           }
-          batches.clear();
-          batches.shrink_to_fit();
-
-          // Merge the per-map sorted segments (modeled as one stable sort)
-          // by permuting the selection.
-          std::vector<uint32_t> perm(merged.num_rows());
-          std::iota(perm.begin(), perm.end(), 0u);
-          std::stable_sort(perm.begin(), perm.end(),
-                           [&](uint32_t a, uint32_t bb) {
-                             return merged.Compare(
-                                        a, bb, st.partition_sort_indices) < 0;
-                           });
-          std::vector<uint32_t> sel;
-          sel.reserve(perm.size());
-          for (uint32_t p : perm) sel.push_back(merged.selection()[p]);
-          merged.SetSelection(std::move(sel));
-
-          auto runner =
-              BatchReducePipeline::Make(b.reduce_stages, b.map_output_schema);
-          if (!runner.ok()) {
-            piece.status = runner.status();
-            continue;
-          }
-          RowBatch out = runner->Run(merged);
-          piece.cpu_units = runner->counters().cpu_units;
-          piece.out_pd = PartitionData::FromBatch(out);
-          piece.out_pd->raw_bytes();  // size in-task, off the merge path
-          continue;
         }
-
-        auto& rows = st.reduce_buckets[ri];
+        bucket.clear();
+        bucket.shrink_to_fit();
         piece.had_rows = !rows.empty();
 
         // Merge the per-map sorted segments (modeled as one stable sort).
@@ -1094,13 +782,11 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
           piece.status = runner.status();
           continue;
         }
-        for (const Row& row : rows) (*runner)->Emit(row);
+        for (Row& row : rows) (*runner)->Emit(std::move(row));
         (*runner)->Finish();
         piece.cpu_units = (*runner)->counters().cpu_units;
-        piece.tee = std::move(tee.rows());
-        piece.out_rows = std::move(out.rows());
-        rows.clear();
-        rows.shrink_to_fit();
+        piece.tee = tee.Take();
+        piece.out = PartitionData(std::move(out.rows()));
       }
     });
 
@@ -1139,13 +825,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
             st.bucket_scaled_bytes[ri] * st.combine_ratio);
         df.reduce_cpu_units += piece.cpu_units * cpu_scale;
         drain_tee(piece.tee, scale);
-        if (piece.out_pd.has_value()) {
-          st.output.AddTo(static_cast<size_t>(r), std::move(*piece.out_pd),
-                          scale);
-        } else {
-          st.output.AddTo(static_cast<size_t>(r), std::move(piece.out_rows),
-                          scale);
-        }
+        st.output.AddTo(ri, std::move(piece.out), scale);
       }
       if (nonempty) df.nonempty_reduce_partitions++;
       df.max_reduce_input_bytes =

@@ -28,37 +28,20 @@ class ThreadPool;
 Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
                                            const Dfs& dfs);
 
-/// Executor knobs. These are pure wall-time switches: outputs, plans, and
-/// every dataflow metric are bit-identical whatever their values.
+/// Fields perfbench/ prints; neither has an effect.
 struct ExecOptions {
-  /// Columnar batch execution (RowBatch + BatchPipelineRunner) of eligible
-  /// map pipelines and the map-side shuffle; ineligible pipelines fall back
-  /// to record-at-a-time execution. Driven by
-  /// StubbyOptions::vectorized_exec.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool vectorized = true;
-  /// Column-native storage boundary: scan chunks as zero-copy RowBatch
-  /// views over PartitionData columns (no per-chunk FromRows), keep shuffle
-  /// buckets as selection vectors over shared columns, batch eligible
-  /// reduce pipelines, and store batch outputs column-native. Only takes
-  /// effect when `vectorized` is on; ineligible branches (merge mode,
-  /// stateful/tee stages, non-batch combiners) fall back to the row path.
-  /// Driven by StubbyOptions::columnar_storage.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool columnar = true;
 };
-
-/// True unless STUBBY_COLUMNAR=0 in the environment. The CLI and the
-/// benches seed StubbyOptions::columnar_storage (and their direct
-/// WorkflowRunner ExecOptions) from this, so a columnar-off A/B needs no
-/// rebuild; library callers are unaffected.
-bool ColumnarStorageFromEnv();
 
 /// Executes single jobs against a Dfs. The pool, when given, is borrowed
 /// for the duration of each Run call.
 class JobRunner {
  public:
-  explicit JobRunner(ClusterSpec cluster, ThreadPool* pool = nullptr,
-                     ExecOptions exec = {})
-      : cluster_(std::move(cluster)), pool_(pool), exec_(exec) {}
+  explicit JobRunner(ClusterSpec cluster, ThreadPool* pool = nullptr)
+      : cluster_(std::move(cluster)), pool_(pool) {}
 
   /// Runs `job`, reading inputs from and writing outputs to `dfs`. The plan
   /// provides dataset schemas and layouts. Returns the observed dataflow.
@@ -72,7 +55,6 @@ class JobRunner {
  private:
   ClusterSpec cluster_;
   ThreadPool* pool_ = nullptr;
-  ExecOptions exec_;
 };
 
 }  // namespace stubby

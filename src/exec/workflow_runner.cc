@@ -18,7 +18,7 @@ Result<WorkflowDataflow> WorkflowRunner::Run(const Plan& plan,
 
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
                           plan.TopologicalOrder());
-  JobRunner job_runner(cluster_, pool_, exec_);
+  JobRunner job_runner(cluster_, pool_);
   PhaseTimeModel model(cluster_);
 
   WorkflowDataflow flow;

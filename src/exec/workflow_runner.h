@@ -18,12 +18,11 @@ class ThreadPool;
 
 /// Executes plans end-to-end. The pool, when given, is borrowed and lets
 /// each job's map/reduce tasks run concurrently; results stay bit-identical
-/// to a single-threaded run, and so does toggling any ExecOptions knob.
+/// to a single-threaded run.
 class WorkflowRunner {
  public:
-  explicit WorkflowRunner(ClusterSpec cluster, ThreadPool* pool = nullptr,
-                          ExecOptions exec = {})
-      : cluster_(std::move(cluster)), pool_(pool), exec_(exec) {}
+  explicit WorkflowRunner(ClusterSpec cluster, ThreadPool* pool = nullptr)
+      : cluster_(std::move(cluster)), pool_(pool) {}
 
   /// Validates and runs `plan`. Base inputs must already exist in `dfs`;
   /// intermediate and output datasets are (re)created there. Returns the
@@ -33,7 +32,6 @@ class WorkflowRunner {
  private:
   ClusterSpec cluster_;
   ThreadPool* pool_ = nullptr;
-  ExecOptions exec_;
 };
 
 }  // namespace stubby

@@ -1,7 +1,5 @@
 #include "exec/wrappers.h"
 
-#include <cassert>
-
 namespace stubby {
 
 // One stage instance inside a running pipeline. Nodes form a chain; each
@@ -130,119 +128,6 @@ void PipelineRunner::Finish() {
   for (auto& node : nodes_) node->FinishNode();
 }
 
-bool BatchPipelineRunner::Eligible(const std::vector<Stage>& stages) {
-  for (const Stage& s : stages) {
-    if (s.kind != Stage::Kind::kMap) return false;
-    if (!s.tee_dataset.empty()) return false;
-    if (!s.map_fn->stateless() || !s.map_fn->supports_batch()) return false;
-  }
-  return true;
-}
-
-BatchPipelineRunner BatchPipelineRunner::Make(
-    const std::vector<Stage>& stages) {
-  BatchPipelineRunner runner;
-  runner.nodes_.reserve(stages.size());
-  for (const Stage& s : stages) {
-    BatchNode node;
-    node.fn = s.map_fn->Clone();
-    node.fn->Setup();
-    node.cpu_weight = node.fn->cpu_cost_per_record();
-    runner.nodes_.push_back(std::move(node));
-  }
-  return runner;
-}
-
-RowBatch BatchPipelineRunner::Run(RowBatch batch) {
-  counters_.rows_in += batch.num_rows();
-  if (nodes_.empty()) {
-    counters_.rows_out += batch.num_rows();
-    return batch;
-  }
-
-  // Apply the batch kernels, keeping each stage's input selection. The
-  // selections form a chain of ascending subsets of one physical index
-  // space: sels[s] is what stage s consumed, sels[nodes_.size()] is the
-  // final output.
-  std::vector<std::vector<uint32_t>> sels;
-  sels.reserve(nodes_.size() + 1);
-  sels.push_back(batch.selection());
-  for (BatchNode& node : nodes_) {
-    node.fn->MapBatch(&batch);
-    sels.push_back(batch.selection());
-  }
-
-  // Replay the row path's cpu accumulation order: for each input row,
-  // stage 0's weight, then each later stage's weight while the row
-  // survives. Subset chaining guarantees the per-stage cursors line up.
-  std::vector<size_t> cursor(nodes_.size(), 0);
-  for (uint32_t phys : sels[0]) {
-    counters_.cpu_units += nodes_[0].cpu_weight;
-    for (size_t s = 1; s < nodes_.size(); ++s) {
-      size_t& c = cursor[s];
-      if (c < sels[s].size() && sels[s][c] == phys) {
-        ++c;
-        counters_.cpu_units += nodes_[s].cpu_weight;
-      } else {
-        break;
-      }
-    }
-  }
-  counters_.rows_out += batch.num_rows();
-
-  // Stateless stages may not emit from Finish, so the row path's
-  // FinishNode pass is a no-op here by contract.
-  return batch;
-}
-
-bool BatchReducePipeline::Eligible(const std::vector<Stage>& stages) {
-  if (stages.empty()) return true;
-  if (stages.size() != 1) return false;
-  const Stage& s = stages.front();
-  if (s.kind != Stage::Kind::kReduce) return false;
-  if (!s.tee_dataset.empty()) return false;
-  return s.reduce_fn->stateless() && s.reduce_fn->supports_batch();
-}
-
-Result<BatchReducePipeline> BatchReducePipeline::Make(
-    const std::vector<Stage>& stages, const Schema& input_schema) {
-  BatchReducePipeline runner;
-  if (stages.empty()) return runner;
-  const Stage& s = stages.front();
-  runner.fn_ = s.reduce_fn->Clone();
-  runner.fn_->Setup();
-  runner.cpu_weight_ = runner.fn_->cpu_cost_per_record();
-  runner.out_arity_ = runner.fn_->output_schema().size();
-  STUBBY_ASSIGN_OR_RETURN(runner.group_indices_,
-                          input_schema.IndicesOf(s.group_fields));
-  return runner;
-}
-
-RowBatch BatchReducePipeline::Run(const RowBatch& batch) {
-  size_t n = batch.num_rows();
-  counters_.rows_in += n;
-  if (fn_ == nullptr) {
-    counters_.rows_out += n;
-    return batch;
-  }
-  // The row path charges the stage weight once per input row on arrival
-  // (group flushes add none), so replaying the additions in input order
-  // reproduces cpu_units bit-for-bit.
-  for (size_t i = 0; i < n; ++i) counters_.cpu_units += cpu_weight_;
-  ColumnAppender out(out_arity_);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i + 1;
-    while (j < n && batch.Compare(i, j, group_indices_) == 0) ++j;
-    fn_->ReduceBatch(batch, i, j, group_indices_, &out);
-    i = j;
-  }
-  counters_.rows_out += out.num_rows();
-  // Stateless reducers may not emit from Finish, so the row path's
-  // FinishNode pass is a no-op here by contract.
-  return out.TakeBatch();
-}
-
 std::vector<Row> RunCombiner(const CombineFn& fn,
                              const std::vector<Row>& sorted_rows,
                              const std::vector<size_t>& group_indices,
@@ -264,24 +149,6 @@ std::vector<Row> RunCombiner(const CombineFn& fn,
     i = j;
   }
   return std::move(out.rows());
-}
-
-RowBatch RunCombinerBatch(const CombineFn& fn, const RowBatch& sorted,
-                          const std::vector<size_t>& group_indices,
-                          double* cpu_units) {
-  ColumnAppender out(sorted.num_columns());
-  std::shared_ptr<CombineFn> instance = fn.Clone();
-  size_t n = sorted.num_rows();
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i + 1;
-    while (j < n && sorted.Compare(i, j, group_indices) == 0) ++j;
-    instance->CombineBatch(sorted, i, j, &out);
-    *cpu_units +=
-        static_cast<double>(j - i) * instance->cpu_cost_per_record();
-    i = j;
-  }
-  return out.TakeBatch();
 }
 
 }  // namespace stubby

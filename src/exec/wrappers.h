@@ -71,90 +71,4 @@ std::vector<Row> RunCombiner(const CombineFn& fn,
                              const std::vector<size_t>& group_indices,
                              double* cpu_units);
 
-/// Columnar RunCombiner: `sorted` holds a shuffle bucket whose selection is
-/// already sorted on `group_indices`; equal-key runs go through the
-/// function's CombineBatch kernel into a fresh dense batch. The function
-/// must supports_batch(). Emitted rows and `cpu_units` match RunCombiner
-/// over the same rows exactly.
-RowBatch RunCombinerBatch(const CombineFn& fn, const RowBatch& sorted,
-                          const std::vector<size_t>& group_indices,
-                          double* cpu_units);
-
-/// Columnar counterpart of PipelineRunner for all-map, tee-free, stateless
-/// pipelines: each stage's batch kernel transforms the RowBatch
-/// structurally instead of re-emitting every row.
-///
-/// Eligibility is all-or-nothing for a pipeline. PipelineRunner accumulates
-/// cpu_units by adding stage weights depth-first per input row (w0, then w1
-/// if stage 0 emitted, ...); floating-point addition is not associative, so
-/// mixing batched and row-at-a-time segments would reorder those additions
-/// and break the bit-identity contract. Instead, a fully batched pipeline
-/// records the selection after every stage and replays the weight additions
-/// in the exact per-row order — reproducing cpu_units bit-for-bit.
-class BatchPipelineRunner {
- public:
-  /// True when every stage is a kMap with no tee whose function is
-  /// stateless and implements MapBatch. (Stateless rules out Finish-time
-  /// emission, which has no batch equivalent.)
-  static bool Eligible(const std::vector<Stage>& stages);
-
-  /// Builds a runner over `stages` (which must be Eligible); clones the
-  /// stage functions and runs their Setup hooks, like PipelineRunner::Make.
-  static BatchPipelineRunner Make(const std::vector<Stage>& stages);
-
-  /// Runs the pipeline over `batch` (shares the input's columns; the
-  /// caller's batch is not modified) and returns the output batch.
-  /// Call at most once, mirroring a PipelineRunner task lifetime.
-  RowBatch Run(RowBatch batch);
-
-  const PipelineCounters& counters() const { return counters_; }
-
- private:
-  BatchPipelineRunner() = default;
-
-  struct BatchNode {
-    std::shared_ptr<MapFn> fn;
-    double cpu_weight = 1.0;
-  };
-  std::vector<BatchNode> nodes_;
-  PipelineCounters counters_;
-};
-
-/// Columnar counterpart of a reduce-task PipelineRunner for the reduce-side
-/// batch path: an empty pipeline (pass-through) or a single stateless,
-/// tee-free kReduce stage with a batch kernel. The input batch's selection
-/// must already be sorted on the stage's grouping fields; consecutive
-/// equal-key groups are fed to ReduceBatch. Counters (rows_in/rows_out and
-/// the per-row cpu_units accumulation order) reproduce the row path
-/// bit-for-bit — a kReduce node charges its weight per *input* row on
-/// arrival and group emissions add none, so the batch replay is a plain
-/// in-order fold of the stage weight over the input rows.
-class BatchReducePipeline {
- public:
-  /// True when `stages` is empty or a single tee-free kReduce whose
-  /// function is stateless and implements ReduceBatch.
-  static bool Eligible(const std::vector<Stage>& stages);
-
-  /// Builds a runner over `stages` (which must be Eligible), resolving the
-  /// grouping fields against `input_schema`; clones the reduce function and
-  /// runs Setup, like PipelineRunner::Make.
-  static Result<BatchReducePipeline> Make(const std::vector<Stage>& stages,
-                                          const Schema& input_schema);
-
-  /// Runs the pipeline over the sorted `batch`; returns the output batch.
-  /// Call at most once, mirroring a PipelineRunner task lifetime.
-  RowBatch Run(const RowBatch& batch);
-
-  const PipelineCounters& counters() const { return counters_; }
-
- private:
-  BatchReducePipeline() = default;
-
-  std::shared_ptr<ReduceFn> fn_;  // null: empty pipeline (pass-through)
-  std::vector<size_t> group_indices_;
-  size_t out_arity_ = 0;
-  double cpu_weight_ = 1.0;
-  PipelineCounters counters_;
-};
-
 }  // namespace stubby

@@ -103,22 +103,6 @@ void BloomProbeMapFn::Map(const Row& in, Emitter* out) {
   }
 }
 
-void BloomProbeMapFn::MapBatch(RowBatch* batch) {
-  if (filter_ == nullptr) return;  // pass-through, selection untouched
-  // HashOnFields takes a selection position while the new selection lists
-  // physical ids, so walk positions and keep the corresponding physical
-  // index — an ascending subset, as the batch-map contract requires.
-  const std::vector<uint32_t>& sel = batch->selection();
-  std::vector<uint32_t> keep;
-  keep.reserve(sel.size());
-  for (size_t pos = 0; pos < sel.size(); ++pos) {
-    if (filter_->MayContain(batch->HashOnFields(pos, key_indices_))) {
-      keep.push_back(sel[pos]);
-    }
-  }
-  batch->SetSelection(std::move(keep));
-}
-
 std::shared_ptr<BloomProbeMapFn> BloomProbeMapFn::Bind(
     std::shared_ptr<const BloomFilter> filter) const {
   auto bound = std::make_shared<BloomProbeMapFn>(*this);

@@ -108,13 +108,6 @@ class BloomProbeMapFn : public MapFn {
     return kBloomHashCpuPerRecord;
   }
   bool stateless() const override { return true; }
-  bool supports_batch() const override { return true; }
-
-  /// Columnar probe: narrows the selection to rows whose key hash may be
-  /// in the filter. Hash parity with the row path is guaranteed by
-  /// RowBatch::HashOnFields' documented contract.
-  void MapBatch(RowBatch* batch) override;
-
   std::shared_ptr<MapFn> Clone() const override {
     return std::make_shared<BloomProbeMapFn>(*this);
   }

@@ -3,12 +3,10 @@
 namespace stubby {
 
 std::shared_ptr<MapFn> MakeIdentityMap(const Schema& schema) {
-  auto fn = std::make_shared<LambdaMapFn>(
+  return std::make_shared<LambdaMapFn>(
       "identity", schema, schema,
       [](const Row& in, Emitter* out) { out->Emit(in); },
       /*cpu_weight=*/0.1);
-  fn->set_batch_fn([](RowBatch* batch) { (void)batch; });
-  return fn;
 }
 
 }  // namespace stubby

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "mr/row_batch.h"
 #include "mr/schema.h"
 #include "mr/tuple.h"
 
@@ -71,21 +70,6 @@ class MapFn {
   /// hand-written subclasses (samplers, top-K).
   virtual bool stateless() const { return false; }
 
-  /// True when the function also implements MapBatch. The vectorized
-  /// executor batches a pipeline only if every stage is a stateless map
-  /// that supports batching; otherwise the whole pipeline falls back to
-  /// row-at-a-time execution (exec/wrappers.h explains why the fallback is
-  /// all-or-nothing).
-  virtual bool supports_batch() const { return false; }
-
-  /// Columnar equivalent of Map over every live row of `batch`, in order.
-  /// Must be structural: narrow the selection and/or replace, reorder, or
-  /// append columns, never renumber the physical index space. Each live
-  /// input row must produce zero or one output row (the one at the same
-  /// physical index) — exactly what Map would have emitted for it. Only
-  /// called when supports_batch() is true.
-  virtual void MapBatch(RowBatch* batch) { (void)batch; }
-
   /// Fresh instance with reset state for a new task.
   virtual std::shared_ptr<MapFn> Clone() const = 0;
 };
@@ -106,34 +90,6 @@ class ReduceFn {
   virtual const Schema& output_schema() const = 0;
   virtual double cpu_cost_per_record() const { return 1.0; }
 
-  /// True when the function is group-wise pure: output depends only on the
-  /// current (key, group) — no cross-group task state, nothing emitted from
-  /// Finish. Required for the batched reduce path, which replays groups
-  /// without per-task Setup/Finish bracketing. Conservatively false for
-  /// hand-written subclasses.
-  virtual bool stateless() const { return false; }
-
-  /// True when the function also implements ReduceBatch. The executor
-  /// batches a reduce pipeline only if its single reduce stage is a
-  /// stateless, tee-free reducer that supports batching; otherwise the
-  /// whole reduce task falls back to row-at-a-time execution.
-  virtual bool supports_batch() const { return false; }
-
-  /// Columnar equivalent of Reduce over the group occupying selection
-  /// positions [lo, hi) of `in` (rows already sorted and grouped on
-  /// `key_indices`). Must append to `out` exactly the rows Reduce would
-  /// emit for (key, group) — same values, same order, same floating-point
-  /// fold order. Only called when supports_batch() is true.
-  virtual void ReduceBatch(const RowBatch& in, size_t lo, size_t hi,
-                           const std::vector<size_t>& key_indices,
-                           ColumnAppender* out) {
-    (void)in;
-    (void)lo;
-    (void)hi;
-    (void)key_indices;
-    (void)out;
-  }
-
   virtual std::shared_ptr<ReduceFn> Clone() const = 0;
 };
 
@@ -147,21 +103,6 @@ class CombineFn {
                        Emitter* out) = 0;
   virtual std::string name() const = 0;
   virtual double cpu_cost_per_record() const { return 1.0; }
-
-  /// True when the function also implements CombineBatch (columnar map-side
-  /// preaggregation over shuffle buckets).
-  virtual bool supports_batch() const { return false; }
-
-  /// Columnar equivalent of Combine over the equal-key run occupying
-  /// selection positions [lo, hi) of `in`. Must append to `out` exactly the
-  /// rows Combine would emit. Only called when supports_batch() is true.
-  virtual void CombineBatch(const RowBatch& in, size_t lo, size_t hi,
-                            ColumnAppender* out) {
-    (void)in;
-    (void)lo;
-    (void)hi;
-    (void)out;
-  }
 
   virtual std::shared_ptr<CombineFn> Clone() const = 0;
 };
@@ -178,7 +119,6 @@ class CombineFn {
 class LambdaMapFn : public MapFn {
  public:
   using Fn = std::function<void(const Row&, Emitter*)>;
-  using BatchFn = std::function<void(RowBatch*)>;
 
   LambdaMapFn(std::string name, Schema in, Schema out, Fn fn,
               double cpu_weight = 1.0)
@@ -194,33 +134,23 @@ class LambdaMapFn : public MapFn {
   const Schema& output_schema() const override { return out_; }
   double cpu_cost_per_record() const override { return cpu_weight_; }
   bool stateless() const override { return true; }
-  bool supports_batch() const override { return batch_fn_ != nullptr; }
-  void MapBatch(RowBatch* batch) override { batch_fn_(batch); }
   std::shared_ptr<MapFn> Clone() const override {
     return std::make_shared<LambdaMapFn>(*this);
   }
-
-  /// Installs the columnar kernel; it must agree row-for-row with `fn`.
-  void set_batch_fn(BatchFn batch_fn) { batch_fn_ = std::move(batch_fn); }
 
  private:
   std::string name_;
   Schema in_, out_;
   Fn fn_;
-  BatchFn batch_fn_;
   double cpu_weight_;
 };
 
 /// ReduceFn from a lambda `(const Row& key, const std::vector<Row>&,
-/// Emitter*)`. Group-wise pure by construction (no Finish hook; captures
-/// are copied per Clone), so lambda reducers are stateless.
+/// Emitter*)`.
 class LambdaReduceFn : public ReduceFn {
  public:
   using Fn =
       std::function<void(const Row&, const std::vector<Row>&, Emitter*)>;
-  using BatchFn = std::function<void(const RowBatch&, size_t, size_t,
-                                     const std::vector<size_t>&,
-                                     ColumnAppender*)>;
 
   LambdaReduceFn(std::string name, Schema out, Fn fn,
                  double cpu_weight = 1.0)
@@ -236,25 +166,14 @@ class LambdaReduceFn : public ReduceFn {
   std::string name() const override { return name_; }
   const Schema& output_schema() const override { return out_; }
   double cpu_cost_per_record() const override { return cpu_weight_; }
-  bool stateless() const override { return true; }
-  bool supports_batch() const override { return batch_fn_ != nullptr; }
-  void ReduceBatch(const RowBatch& in, size_t lo, size_t hi,
-                   const std::vector<size_t>& key_indices,
-                   ColumnAppender* out) override {
-    batch_fn_(in, lo, hi, key_indices, out);
-  }
   std::shared_ptr<ReduceFn> Clone() const override {
     return std::make_shared<LambdaReduceFn>(*this);
   }
-
-  /// Installs the columnar kernel; it must agree row-for-row with `fn`.
-  void set_batch_fn(BatchFn batch_fn) { batch_fn_ = std::move(batch_fn); }
 
  private:
   std::string name_;
   Schema out_;
   Fn fn_;
-  BatchFn batch_fn_;
   double cpu_weight_;
 };
 
@@ -263,8 +182,6 @@ class LambdaCombineFn : public CombineFn {
  public:
   using Fn =
       std::function<void(const Row&, const std::vector<Row>&, Emitter*)>;
-  using BatchFn =
-      std::function<void(const RowBatch&, size_t, size_t, ColumnAppender*)>;
 
   LambdaCombineFn(std::string name, Fn fn, double cpu_weight = 1.0)
       : name_(std::move(name)), fn_(std::move(fn)), cpu_weight_(cpu_weight) {}
@@ -275,22 +192,13 @@ class LambdaCombineFn : public CombineFn {
   }
   std::string name() const override { return name_; }
   double cpu_cost_per_record() const override { return cpu_weight_; }
-  bool supports_batch() const override { return batch_fn_ != nullptr; }
-  void CombineBatch(const RowBatch& in, size_t lo, size_t hi,
-                    ColumnAppender* out) override {
-    batch_fn_(in, lo, hi, out);
-  }
   std::shared_ptr<CombineFn> Clone() const override {
     return std::make_shared<LambdaCombineFn>(*this);
   }
 
-  /// Installs the columnar kernel; it must agree row-for-row with `fn`.
-  void set_batch_fn(BatchFn batch_fn) { batch_fn_ = std::move(batch_fn); }
-
  private:
   std::string name_;
   Fn fn_;
-  BatchFn batch_fn_;
   double cpu_weight_;
 };
 

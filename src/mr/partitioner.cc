@@ -88,20 +88,4 @@ int Partitioner::PartitionOf(const Row& row, int num_partitions) const {
   return std::min(idx, num_partitions - 1);
 }
 
-int Partitioner::PartitionOf(const RowBatch& batch, size_t row,
-                             int num_partitions) const {
-  if (num_partitions <= 1) return 0;
-  if (spec_.type == PartitionType::kHash) {
-    uint64_t h = batch.HashOnFields(row, partition_indices_);
-    return static_cast<int>(h % static_cast<uint64_t>(num_partitions));
-  }
-  Row key;
-  for (size_t i : partition_indices_) key.Append(batch.At(row, i));
-  auto it = std::upper_bound(
-      spec_.split_points.begin(), spec_.split_points.end(), key,
-      [](const Row& a, const Row& b) { return a < b; });
-  int idx = static_cast<int>(it - spec_.split_points.begin());
-  return std::min(idx, num_partitions - 1);
-}
-
 }  // namespace stubby

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "mr/row_batch.h"
 #include "mr/schema.h"
 #include "mr/tuple.h"
 
@@ -75,11 +74,6 @@ class Partitioner {
 
   /// Partition index for `row` among `num_partitions` buckets.
   int PartitionOf(const Row& row, int num_partitions) const;
-
-  /// Partition index for live row `row` of `batch`; identical to
-  /// PartitionOf on the materialized row.
-  int PartitionOf(const RowBatch& batch, size_t row,
-                  int num_partitions) const;
 
   /// Indices of the sort fields within the schema.
   const std::vector<size_t>& sort_indices() const { return sort_indices_; }

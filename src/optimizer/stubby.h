@@ -80,25 +80,9 @@ struct StubbyOptions {
   bool reuse_aware_search = true;
   /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool reuse_probe_cache = true;
-  /// Columnar batch execution in the executor (mr/row_batch.h +
-  /// exec/wrappers.h): eligible map pipelines and the map-side shuffle run
-  /// over RowBatches instead of one Row at a time; everything else falls
-  /// back to the record path. A pure wall-time knob with a hard invariant:
-  /// outputs, per-phase dataflow accounting, plans, and costs are
-  /// bit-identical on or off at any thread count, so it stays out of the
-  /// option salt.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool vectorized_exec = true;
-  /// Column-native dataset storage at the executor boundary
-  /// (dfs/dataset.h PartitionData): eligible scans read stored columns as
-  /// zero-copy RowBatch views instead of converting rows per chunk, shuffle
-  /// buckets stay selection vectors over shared columns, batchable reduce
-  /// pipelines run their grouped-aggregate kernels columnar, and batch
-  /// outputs are stored column-native (rows derived lazily for row-path
-  /// consumers). Only effective when `vectorized_exec` is on. A pure
-  /// wall-time knob under the same hard invariant — outputs, dataflow
-  /// accounting, dataset signatures, plans, costs, and makespans are
-  /// bit-identical on or off at any thread count — so it stays out of the
-  /// option salt. Env override: STUBBY_COLUMNAR=0 in stubbyctl and benches.
+  /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool columnar_storage = true;
   /// Adaptive suffix re-optimization (the Starfish profile/what-if loop
   /// closed mid-execution, exec/adaptive_runner.h): after each executed job

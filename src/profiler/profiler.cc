@@ -151,11 +151,13 @@ Status Profiler::ProfileJob(const Plan& plan, JobVertex* job,
 
     for (BranchInput& in : b.inputs) {
       STUBBY_ASSIGN_OR_RETURN(DatasetPtr ds, dfs.Get(in.dataset_id));
+      // Read exactly the partition set the executor reads.
+      STUBBY_ASSIGN_OR_RETURN(std::vector<int> parts,
+                              SelectedPartitions(*ds, in.prune_partitions));
       std::vector<Row> rows;
-      if (in.prune_partitions.empty()) {
-        rows = ds->AllRows();
-      } else {
-        rows = ds->RowsOfPartitions(in.prune_partitions);
+      for (int p : parts) {
+        const std::vector<Row>& part = ds->partition(static_cast<size_t>(p));
+        rows.insert(rows.end(), part.begin(), part.end());
       }
       input_records += rows.size();
       input_bytes += RowsBytes(rows);

@@ -67,18 +67,17 @@ Result<ReuseSessionResult> ReuseSession::Run(const Plan& plan, const Dfs& dfs,
     run_dfs.PutOrReplace(CloneDataset(*snapshot, id));
   }
 
-  const ExecOptions exec{options.vectorized_exec, options.columnar_storage};
   if (options.reoptimize) {
     // Adaptive execution: WorkflowRunner's loop plus the observed-vs-
     // predicted dataflow check and mid-run suffix re-optimization. An exact
     // no-op (bit-identical dataflow and outputs) when no check fires.
-    AdaptiveRunner runner(plan.cluster(), pool, exec, options);
+    AdaptiveRunner runner(plan.cluster(), pool, options);
     STUBBY_ASSIGN_OR_RETURN(AdaptiveRunResult adaptive,
                             runner.Run(result.report.plan, &run_dfs));
     result.dataflow = std::move(adaptive.dataflow);
     result.adaptive = std::move(adaptive.stats);
   } else {
-    WorkflowRunner runner(plan.cluster(), pool, exec);
+    WorkflowRunner runner(plan.cluster(), pool);
     STUBBY_ASSIGN_OR_RETURN(result.dataflow,
                             runner.Run(result.report.plan, &run_dfs));
   }

@@ -74,24 +74,7 @@ CostKey DatasetContentKey(const StoredDataset& ds) {
   d.Mix(ds.logical_scale());
   d.Mix(static_cast<uint64_t>(ds.num_partitions()));
   for (size_t p = 0; p < ds.num_partitions(); ++p) {
-    const PartitionData& pd = ds.partition_data(p);
-    if (pd.column_native()) {
-      // Column-native payload: walk the columns row-major through a batch
-      // view so the digest byte stream matches the row encoding exactly,
-      // without materializing rows. Every row of a column-native partition
-      // has num_columns() values by construction.
-      RowBatch view = pd.AsBatch();
-      const size_t ncols = pd.num_columns();
-      d.Mix(static_cast<uint64_t>(pd.num_rows()));
-      for (size_t i = 0; i < pd.num_rows(); ++i) {
-        d.Mix(static_cast<uint64_t>(ncols));
-        for (size_t c = 0; c < ncols; ++c) {
-          MixValueDigest(&d, view.ValueAt(c, static_cast<uint32_t>(i)));
-        }
-      }
-      continue;
-    }
-    const std::vector<Row>& rows = pd.rows();
+    const std::vector<Row>& rows = ds.partition(p);
     d.Mix(static_cast<uint64_t>(rows.size()));
     for (const Row& r : rows) {
       d.Mix(static_cast<uint64_t>(r.size()));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "dfs/dataset.h"
+
 namespace stubby {
 
 Stage Stage::Map(std::shared_ptr<MapFn> fn, std::optional<StageStats> stats) {
@@ -129,6 +131,27 @@ std::vector<int> CanonicalPrunePartitions(const std::vector<int>& prune) {
   canonical.erase(std::unique(canonical.begin(), canonical.end()),
                   canonical.end());
   return canonical;
+}
+
+Result<std::vector<int>> SelectedPartitions(const StoredDataset& ds,
+                                            const std::vector<int>& prune) {
+  std::vector<int> parts;
+  if (prune.empty()) {
+    for (size_t i = 0; i < ds.num_partitions(); ++i) {
+      parts.push_back(static_cast<int>(i));
+    }
+    return parts;
+  }
+  for (int p : CanonicalPrunePartitions(prune)) {
+    if (p < 0 || static_cast<size_t>(p) >= ds.num_partitions()) {
+      return Status::InvalidArgument(
+          "prune partition " + std::to_string(p) + " out of range: dataset '" +
+          ds.id() + "' has " + std::to_string(ds.num_partitions()) +
+          " partitions");
+    }
+    parts.push_back(p);
+  }
+  return parts;
 }
 
 std::vector<InputGroup> GroupBranchInputs(const JobVertex& job) {

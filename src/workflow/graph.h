@@ -26,6 +26,8 @@
 
 namespace stubby {
 
+class StoredDataset;
+
 /// One function application in a pipeline. A kReduce stage performs a
 /// streaming group-by on `group_fields`; its input stream must arrive
 /// clustered on those fields (guaranteed by the producing shuffle or by the
@@ -274,6 +276,15 @@ struct InputGroup {
 /// physical read; every consumer (scan grouping, the executor, reuse keys)
 /// compares and reads prune lists in this form.
 std::vector<int> CanonicalPrunePartitions(const std::vector<int>& prune);
+
+/// Physical partitions of `ds` a branch input with prune list `prune`
+/// reads, in read order: every partition when `prune` is empty, otherwise
+/// CanonicalPrunePartitions(prune). An entry naming a partition the dataset
+/// does not have means the plan and the stored data disagree; skipping it
+/// would under-read the input, so it is InvalidArgument. The executor and
+/// the profiler both read pruned inputs through this.
+Result<std::vector<int>> SelectedPartitions(const StoredDataset& ds,
+                                            const std::vector<int>& prune);
 
 /// Groups the job's branch inputs by (dataset, aligned, prune set). Shared
 /// by the executor and the what-if engine so both account scans identically.

@@ -167,9 +167,8 @@ Result<WorkflowFactory> MakeRandomWorkflow(
 
   // Diamond sharing: one producer feeds two filtered consumers whose
   // outputs a rejoin job reads as two branch inputs of one branch.
-  // Vertical packing of the diamond tees the shared stream (a tee-stage
-  // pipeline is ineligible for the batch path, exercising its row
-  // fallback), and the rejoin exercises multi-input shuffle merging.
+  // Vertical packing of the diamond tees the shared stream, and the rejoin
+  // exercises multi-input shuffle merging.
   if (rng.NextInt(0, 1) == 0) {
     size_t pick = static_cast<size_t>(rng.NextInt(0, avail.size() - 1));
     Avail& p = avail[pick];

@@ -36,42 +36,6 @@ Value ComputeAgg(const std::vector<Row>& group, size_t field_idx, AggOp op) {
   return Value(int64_t{0});
 }
 
-/// Columnar twin of ComputeAgg over selection positions [lo, hi) of `in`.
-/// Folds in the same order with the same accumulator types, so
-/// floating-point results are bit-identical to the row path.
-Value ComputeAggBatch(const RowBatch& in, size_t lo, size_t hi,
-                      size_t field_idx, AggOp op) {
-  switch (op) {
-    case AggOp::kCount:
-      return Value(static_cast<int64_t>(hi - lo));
-    case AggOp::kSum: {
-      double s = 0;
-      for (size_t i = lo; i < hi; ++i) s += in.At(i, field_idx).AsDouble();
-      return Value(s);
-    }
-    case AggOp::kAvg: {
-      double s = 0;
-      for (size_t i = lo; i < hi; ++i) s += in.At(i, field_idx).AsDouble();
-      return Value(hi == lo ? 0.0 : s / (hi - lo));
-    }
-    case AggOp::kMax: {
-      double m = -std::numeric_limits<double>::infinity();
-      for (size_t i = lo; i < hi; ++i) {
-        m = std::max(m, in.At(i, field_idx).AsDouble());
-      }
-      return Value(m);
-    }
-    case AggOp::kMin: {
-      double m = std::numeric_limits<double>::infinity();
-      for (size_t i = lo; i < hi; ++i) {
-        m = std::min(m, in.At(i, field_idx).AsDouble());
-      }
-      return Value(m);
-    }
-  }
-  return Value(int64_t{0});
-}
-
 }  // namespace
 
 Schema AggOutputSchema(const std::vector<std::string>& group_fields,
@@ -87,14 +51,10 @@ std::shared_ptr<MapFn> ProjectMap(const std::string& name, const Schema& in,
   auto idx = in.IndicesOf(out_fields);
   std::vector<size_t> indices = idx.ok() ? std::move(*idx)
                                          : std::vector<size_t>{};
-  auto fn = std::make_shared<LambdaMapFn>(
+  return std::make_shared<LambdaMapFn>(
       name, in, Schema(out_fields),
       [indices](const Row& r, Emitter* out) { out->Emit(r.Project(indices)); },
       cpu);
-  // Columnar: projection is a pointer shuffle over shared columns.
-  fn->set_batch_fn(
-      [indices](RowBatch* batch) { batch->ProjectColumns(indices); });
-  return fn;
 }
 
 std::shared_ptr<MapFn> FilterRangeMap(const std::string& name,
@@ -102,21 +62,13 @@ std::shared_ptr<MapFn> FilterRangeMap(const std::string& name,
                                       const std::string& field, double lo,
                                       double hi, double cpu) {
   size_t i = schema.IndexOf(field).value_or(0);
-  auto fn = std::make_shared<LambdaMapFn>(
+  return std::make_shared<LambdaMapFn>(
       name, schema, schema,
       [i, lo, hi](const Row& r, Emitter* out) {
         double v = r[i].AsDouble();
         if (v >= lo && v < hi) out->Emit(r);
       },
       cpu);
-  // Columnar: one scan of the filtered column narrows the selection.
-  fn->set_batch_fn([i, lo, hi](RowBatch* batch) {
-    batch->FilterSelection([&](uint32_t phys) {
-      double v = batch->ValueAt(i, phys).AsDouble();
-      return v >= lo && v < hi;
-    });
-  });
-  return fn;
 }
 
 std::shared_ptr<MapFn> AppendConstMap(const std::string& name,
@@ -124,7 +76,7 @@ std::shared_ptr<MapFn> AppendConstMap(const std::string& name,
                                       const std::string& field, Value value,
                                       double cpu) {
   Schema out_schema = in.Concat(Schema({field}));
-  auto fn = std::make_shared<LambdaMapFn>(
+  return std::make_shared<LambdaMapFn>(
       name, in, out_schema,
       [value](const Row& r, Emitter* out) {
         Row row = r;
@@ -132,10 +84,6 @@ std::shared_ptr<MapFn> AppendConstMap(const std::string& name,
         out->Emit(std::move(row));
       },
       cpu);
-  // Columnar: one broadcast constant column serves every row.
-  fn->set_batch_fn(
-      [value](RowBatch* batch) { batch->AppendConstColumn(value); });
-  return fn;
 }
 
 std::shared_ptr<MapFn> SampleMap(const std::string& name, const Schema& in,
@@ -146,24 +94,12 @@ std::shared_ptr<MapFn> SampleMap(const std::string& name, const Schema& in,
   std::vector<size_t> indices = idx.ok() ? std::move(*idx)
                                          : std::vector<size_t>{};
   uint64_t n = std::max<uint64_t>(1, every_n);
-  auto fn = std::make_shared<LambdaMapFn>(
+  return std::make_shared<LambdaMapFn>(
       name, in, Schema(out_fields),
       [indices, n](const Row& r, Emitter* out) {
         if (r.Hash() % n == 0) out->Emit(r.Project(indices));
       },
       cpu);
-  // Columnar: hash-filter on the full input row, then project. The batch
-  // row hash matches Row::Hash, so the sample is identical.
-  fn->set_batch_fn([indices, n](RowBatch* batch) {
-    std::vector<uint32_t> keep;
-    keep.reserve(batch->num_rows());
-    for (size_t row = 0; row < batch->num_rows(); ++row) {
-      if (batch->RowHash(row) % n == 0) keep.push_back(batch->selection()[row]);
-    }
-    batch->SetSelection(std::move(keep));
-    batch->ProjectColumns(indices);
-  });
-  return fn;
 }
 
 std::shared_ptr<ReduceFn> AggReduce(
@@ -177,7 +113,7 @@ std::shared_ptr<ReduceFn> AggReduce(
   }
   std::vector<AggOp> ops;
   for (const auto& a : aggs) ops.push_back(a.op);
-  auto fn = std::make_shared<LambdaReduceFn>(
+  return std::make_shared<LambdaReduceFn>(
       name, out_schema,
       [agg_idx, ops](const Row& key, const std::vector<Row>& group,
                      Emitter* out) {
@@ -188,20 +124,6 @@ std::shared_ptr<ReduceFn> AggReduce(
         out->Emit(std::move(row));
       },
       cpu);
-  // Columnar: one output row per group — key values from the group's first
-  // row, aggregates folded in the row path's exact order.
-  fn->set_batch_fn([agg_idx, ops](const RowBatch& in, size_t lo, size_t hi,
-                                  const std::vector<size_t>& key_indices,
-                                  ColumnAppender* out) {
-    std::vector<Value> row;
-    row.reserve(key_indices.size() + ops.size());
-    for (size_t k : key_indices) row.push_back(in.At(lo, k));
-    for (size_t i = 0; i < ops.size(); ++i) {
-      row.push_back(ComputeAggBatch(in, lo, hi, agg_idx[i], ops[i]));
-    }
-    out->Append(std::move(row));
-  });
-  return fn;
 }
 
 std::shared_ptr<ReduceFn> InnerJoinReduce(
@@ -217,7 +139,7 @@ std::shared_ptr<ReduceFn> InnerJoinReduce(
     agg_idx.push_back(in.IndexOf(a.in_field).value_or(0));
     ops.push_back(a.op);
   }
-  auto fn = std::make_shared<LambdaReduceFn>(
+  return std::make_shared<LambdaReduceFn>(
       name, out_schema,
       [tag_idx, required_tags, agg_idx, ops](const Row& key,
                                              const std::vector<Row>& group,
@@ -239,54 +161,19 @@ std::shared_ptr<ReduceFn> InnerJoinReduce(
         out->Emit(std::move(row));
       },
       cpu);
-  // Columnar: same tag-presence check and fold order over the group run.
-  fn->set_batch_fn([tag_idx, required_tags, agg_idx, ops](
-                       const RowBatch& in, size_t lo, size_t hi,
-                       const std::vector<size_t>& key_indices,
-                       ColumnAppender* out) {
-    for (int64_t t : required_tags) {
-      bool found = false;
-      for (size_t i = lo; i < hi; ++i) {
-        if (in.At(i, tag_idx).AsDouble() == static_cast<double>(t)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return;
-    }
-    std::vector<Value> row;
-    row.reserve(key_indices.size() + ops.size());
-    for (size_t k : key_indices) row.push_back(in.At(lo, k));
-    for (size_t i = 0; i < ops.size(); ++i) {
-      row.push_back(ComputeAggBatch(in, lo, hi, agg_idx[i], ops[i]));
-    }
-    out->Append(std::move(row));
-  });
-  return fn;
 }
 
 std::shared_ptr<ReduceFn> DistinctReduce(
     const std::string& name, const Schema& in,
     const std::vector<std::string>& group_fields, double cpu) {
   (void)in;
-  auto fn = std::make_shared<LambdaReduceFn>(
+  return std::make_shared<LambdaReduceFn>(
       name, Schema(group_fields),
       [](const Row& key, const std::vector<Row>& group, Emitter* out) {
         (void)group;
         out->Emit(key);
       },
       cpu);
-  // Columnar: the key of each group, nothing else.
-  fn->set_batch_fn([](const RowBatch& in, size_t lo, size_t hi,
-                      const std::vector<size_t>& key_indices,
-                      ColumnAppender* out) {
-    (void)hi;
-    std::vector<Value> row;
-    row.reserve(key_indices.size());
-    for (size_t k : key_indices) row.push_back(in.At(lo, k));
-    out->Append(std::move(row));
-  });
-  return fn;
 }
 
 std::shared_ptr<CombineFn> AggCombine(
@@ -300,7 +187,7 @@ std::shared_ptr<CombineFn> AggCombine(
     agg_idx.push_back(schema.IndexOf(a.in_field).value_or(0));
     ops.push_back(a.op);
   }
-  auto fn = std::make_shared<LambdaCombineFn>(
+  return std::make_shared<LambdaCombineFn>(
       name,
       [agg_idx, ops](const Row& key, const std::vector<Row>& group,
                      Emitter* out) {
@@ -320,25 +207,6 @@ std::shared_ptr<CombineFn> AggCombine(
         out->Emit(std::move(row));
       },
       cpu);
-  // Columnar: first row of the run with the algebraic aggregate fields
-  // replaced in place; non-algebraic ops pass the whole run through.
-  fn->set_batch_fn([agg_idx, ops](const RowBatch& in, size_t lo, size_t hi,
-                                  ColumnAppender* out) {
-    std::vector<Value> row;
-    row.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) row.push_back(in.At(lo, c));
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i] == AggOp::kSum || ops[i] == AggOp::kMax ||
-          ops[i] == AggOp::kMin) {
-        row[agg_idx[i]] = ComputeAggBatch(in, lo, hi, agg_idx[i], ops[i]);
-      } else {
-        for (size_t r = lo; r < hi; ++r) out->AppendFrom(in, r);
-        return;
-      }
-    }
-    out->Append(std::move(row));
-  });
-  return fn;
 }
 
 }  // namespace stubby

@@ -116,7 +116,7 @@ std::vector<Row> MakeProbeRows(int n, uint64_t seed) {
   return rows;
 }
 
-TEST(BloomProbeMapFnTest, BatchProbeMatchesRowProbe) {
+TEST(BloomProbeMapFnTest, BoundProbeFiltersUnboundPassesThrough) {
   const Schema schema({"K", "G", "V"});
   const std::vector<size_t> key_idx = {0};
   auto filter =
@@ -130,60 +130,16 @@ TEST(BloomProbeMapFnTest, BatchProbeMatchesRowProbe) {
   ASSERT_TRUE(bound->bound());
 
   const std::vector<Row> rows = MakeProbeRows(1000, 6);
-  VectorEmitter row_path;
-  for (const Row& r : rows) bound->Map(r, &row_path);
+  VectorEmitter kept;
+  for (const Row& r : rows) bound->Map(r, &kept);
   // The probe actually dropped something and kept something.
-  EXPECT_GT(row_path.rows().size(), 0u);
-  EXPECT_LT(row_path.rows().size(), rows.size());
+  EXPECT_GT(kept.rows().size(), 0u);
+  EXPECT_LT(kept.rows().size(), rows.size());
 
-  RowBatch batch = RowBatch::FromRows(rows, schema.fields().size());
-  bound->MapBatch(&batch);
-  EXPECT_TRUE(RowsBitIdentical(row_path.rows(), batch.ToRows()));
-
-  // Unbound = pass-through on both paths.
+  // Unbound = pass-through.
   VectorEmitter pass;
   for (const Row& r : rows) unbound.Map(r, &pass);
-  RowBatch pass_batch = RowBatch::FromRows(rows, schema.fields().size());
-  unbound.MapBatch(&pass_batch);
   EXPECT_TRUE(RowsBitIdentical(pass.rows(), rows));
-  EXPECT_TRUE(RowsBitIdentical(pass_batch.ToRows(), rows));
-}
-
-TEST(BloomProbeMapFnTest, EmptyBatchAndBroadcastColumns) {
-  const Schema schema({"K", "G", "V"});
-  auto filter =
-      std::make_shared<BloomFilter>(12, 6, kBloomFilterSeed);
-  for (const Row& r : MakeProbeRows(60, 9)) {
-    filter->Insert(HashOnFields(r, {0}));
-  }
-  // Keys span a dense and a broadcast column: HashOnFields must read the
-  // broadcast value through the stride-0 path identically to the row path.
-  BloomProbeMapFn fn("probe", schema, {"K", "G"});
-  auto bound = fn.Bind(filter);
-
-  RowBatch empty = RowBatch::FromRows({}, schema.fields().size());
-  bound->MapBatch(&empty);
-  EXPECT_EQ(empty.num_rows(), 0u);
-
-  const int n = 500;
-  Rng rng(10);
-  auto k_col = std::make_shared<RowBatch::Column>();
-  auto v_col = std::make_shared<RowBatch::Column>();
-  for (int i = 0; i < n; ++i) {
-    k_col->push_back(Value(rng.NextInt(0, 199)));
-    v_col->push_back(Value(rng.NextInt(0, 99)));
-  }
-  auto g_col = std::make_shared<RowBatch::Column>(
-      RowBatch::Column{Value(static_cast<int64_t>(3))});
-  RowBatch batch = RowBatch::FromColumns({k_col, g_col, v_col}, {1, 0, 1},
-                                         static_cast<size_t>(n));
-  const std::vector<Row> rows = batch.ToRows();
-  bound->MapBatch(&batch);
-
-  VectorEmitter row_path;
-  auto row_bound = fn.Bind(filter);
-  for (const Row& r : rows) row_bound->Map(r, &row_path);
-  EXPECT_TRUE(RowsBitIdentical(row_path.rows(), batch.ToRows()));
 }
 
 TEST(BloomTransferFromEnvTest, ParsesStubbyBloom) {

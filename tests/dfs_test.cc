@@ -1,10 +1,10 @@
 // Tests for dfs/: layouts, dataset construction, logical scaling, the DFS,
-// and the dual row/column PartitionData representation.
+// PartitionData byte accounting, and prune-list partition selection.
 
 #include <gtest/gtest.h>
 
 #include "dfs/dfs.h"
-#include "mr/row_batch.h"
+#include "workflow/graph.h"
 
 namespace stubby {
 namespace {
@@ -98,84 +98,36 @@ TEST(DatasetTest, StoredBytesReflectCompression) {
   EXPECT_EQ((*ds2)->stored_bytes(0.4), (*ds2)->raw_bytes());
 }
 
-TEST(DatasetTest, RowsOfPartitionsSelectsAndIgnoresBogusIndices) {
+TEST(DatasetTest, SelectedPartitionsCanonicalizesAndRejectsOutOfRange) {
   Layout layout;
   auto ds = StoredDataset::FromRows("d", Schema({"k", "v"}), layout,
-                                    MakeRows(100), 4);
+                                    MakeRows(90), 3);
   ASSERT_TRUE(ds.ok());
-  size_t p0 = (*ds)->partition(0).size();
-  EXPECT_EQ((*ds)->RowsOfPartitions({0}).size(), p0);
-  EXPECT_EQ((*ds)->RowsOfPartitions({0, 17, -3}).size(), p0);
-}
+  ASSERT_EQ((*ds)->num_partitions(), 3u);
 
-TEST(PartitionDataTest, ColumnarRoundTripPreservesRowsAndBytes) {
-  // Columnar write -> row read -> columnar read: every representation
-  // change must preserve row bits and the byte accounting exactly.
-  std::vector<Row> rows = MakeRows(37);
-  PartitionData row_native(rows);
-  EXPECT_FALSE(row_native.column_native());
-  EXPECT_TRUE(row_native.columnar());  // uniform arity: batch-exposable
+  auto all = SelectedPartitions(**ds, {});
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(*all, (std::vector<int>{0, 1, 2}));
 
-  PartitionData col_native =
-      PartitionData::FromBatch(RowBatch::FromRows(rows, 2));
-  EXPECT_TRUE(col_native.column_native());
-  EXPECT_TRUE(col_native.columnar());
-  ASSERT_EQ(col_native.num_rows(), rows.size());
-  ASSERT_EQ(col_native.num_columns(), 2u);
+  // Pruning selects a set: duplicates collapse, order is canonical.
+  auto set = SelectedPartitions(**ds, {2, 0, 2});
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_EQ(*set, (std::vector<int>{0, 2}));
 
-  // Row read off the columnar payload.
-  const std::vector<Row>& derived = col_native.rows();
-  ASSERT_EQ(derived.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(derived[i].Hash(), rows[i].Hash()) << "row " << i;
-  }
-
-  // Byte accounting parity across representations.
-  EXPECT_EQ(col_native.raw_bytes(), row_native.raw_bytes());
-  EXPECT_EQ(col_native.RangeBytes(0, rows.size()), col_native.raw_bytes());
-  EXPECT_EQ(col_native.RangeBytes(5, 21), row_native.RangeBytes(5, 21));
-
-  // Columnar read back from the row materialization.
-  PartitionData again(derived);
-  RowBatch a = again.AsBatch();
-  RowBatch b = col_native.AsBatch();
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    EXPECT_EQ(a.RowHash(i), b.RowHash(i)) << "row " << i;
-  }
-
-  // Slices view the same data as full-batch selection.
-  RowBatch slice = col_native.BatchSlice(5, 21);
-  ASSERT_EQ(slice.num_rows(), 16u);
-  for (size_t i = 0; i < slice.num_rows(); ++i) {
-    EXPECT_EQ(slice.RowHash(i), b.RowHash(5 + i)) << "row " << i;
-  }
+  // A partition the dataset does not have is an error, never a skip.
+  EXPECT_TRUE(SelectedPartitions(**ds, {0, 17}).status().IsInvalidArgument());
+  EXPECT_TRUE(SelectedPartitions(**ds, {-3}).status().IsInvalidArgument());
 }
 
 TEST(PartitionDataTest, RaggedRowsStayRowNativeButReadable) {
-  // Non-uniform arity cannot be exposed as a batch; the row path and the
-  // byte accounting must still work.
+  // Rows of different arity are stored as given, and the byte accounting
+  // still sums per row.
   std::vector<Row> rows = {Row{int64_t{1}, int64_t{2}}, Row{int64_t{3}}};
   PartitionData pd(rows);
-  EXPECT_FALSE(pd.columnar());
-  EXPECT_FALSE(pd.column_native());
   EXPECT_EQ(pd.num_rows(), 2u);
   EXPECT_EQ(pd.rows()[1].Hash(), rows[1].Hash());
   EXPECT_EQ(pd.RangeBytes(0, 2), pd.raw_bytes());
   EXPECT_EQ(pd.RangeBytes(0, 1) + pd.RangeBytes(1, 2), pd.raw_bytes());
-}
-
-TEST(PartitionDataTest, FromBatchGathersPermutedSelections) {
-  // A shuffle bucket hands FromBatch a permuted selection; the stored
-  // partition must materialize rows in selection order, not physical order.
-  std::vector<Row> rows = MakeRows(8);
-  RowBatch batch = RowBatch::FromRows(rows, 2);
-  batch.SetSelection({6, 1, 4});
-  PartitionData pd = PartitionData::FromBatch(batch);
-  ASSERT_EQ(pd.num_rows(), 3u);
-  EXPECT_EQ(pd.rows()[0].Hash(), rows[6].Hash());
-  EXPECT_EQ(pd.rows()[1].Hash(), rows[1].Hash());
-  EXPECT_EQ(pd.rows()[2].Hash(), rows[4].Hash());
 }
 
 TEST(DfsTest, PutGetDrop) {

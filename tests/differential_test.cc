@@ -2,38 +2,33 @@
 // unoptimized as the oracle, then through every optimizer/reuse mode — the
 // reuse-blind search, a cold-store reuse-aware search, a warm-store
 // reuse-aware search (twice, so the second run prices store hits inside the
-// unit search), the post-hoc rewrite path, the reuse-blind session with
-// the columnar batch executor off, the reuse-blind session with
-// column-native storage off, the bloom-transfer knob off (`bloom_off`,
-// byte-transparent against the blind run) and on (`bloom_on`, the sixth
-// transformation enumerates for real on the selective-join seeds; its
-// probe pre-filters drop rows yet outputs must still match the oracle —
-// the false-positive-only ledger guarantee), the adaptive re-optimizer on
-// with accurate profiles (`reopt_on`, must be an exact no-op against the
-// blind run), and the adaptive re-optimizer on with deterministically
-// perturbed profiles (`reopt_misprofiled`, may emit and splice different
-// plans but must still match the oracle) — at 1 and 4 threads. Every emitted plan must produce
-// workflow outputs matching the oracle (after a canonical row sort;
-// optimized plans may emit rows in a different order), and plans, cost
-// bits, and reuse + adaptive counters must not depend on thread count.
-// The batch-off and columnar-off legs additionally pin down the
-// transparency contracts of StubbyOptions::vectorized_exec and
-// ::columnar_storage: raw output order, makespan bits, and per-job
-// dataflow accounting match the default run exactly. A final daemon leg
-// replays each seed through stubbyd (three tenants, one wave) and asserts
-// bit-identity with a sequential fresh-session loop at 1 and 4 threads.
-// The nightly TSan leg runs this same file with a larger seed sweep
-// (STUBBY_DIFF_SEEDS), so every mode here — the re-opt ones included — is
-// exercised under the race detector too.
+// unit search), the post-hoc rewrite path, the bloom-transfer knob off
+// (`bloom_off`, byte-transparent against the blind run) and on
+// (`bloom_on`, the sixth transformation enumerates for real on the
+// selective-join seeds; its probe pre-filters drop rows yet outputs must
+// still match the oracle — the false-positive-only ledger guarantee), the
+// adaptive re-optimizer on with accurate profiles (`reopt_on`, must be an
+// exact no-op against the blind run), and the adaptive re-optimizer on
+// with deterministically perturbed profiles (`reopt_misprofiled`, may emit
+// and splice different plans but must still match the oracle) — at 1 and
+// 4 threads. Every emitted plan must produce workflow outputs matching the
+// oracle (after a canonical row sort; optimized plans may emit rows in a
+// different order), and plans, cost bits, and reuse + adaptive counters
+// must not depend on thread count. A final daemon leg replays each seed
+// through stubbyd (three tenants, one wave) and asserts bit-identity with
+// a sequential fresh-session loop at 1 and 4 threads. The nightly TSan leg
+// runs this same file with a larger seed sweep (STUBBY_DIFF_SEEDS), so
+// every mode here — the re-opt ones included — is exercised under the race
+// detector too.
 //
 // Seed dimensions: seeds with seed % 3 == 2 generate float-valued data
 // (inexact sevenths), where kSum/kAvg become summation-order dependent —
 // those seeds compare optimized plans against the oracle with the
 // tolerance-aware RowsApproxEqual. All other seeds stay integer-valued
 // (sums ≤ 2^53 are exact), where the oracle comparison is bit-level.
-// Same-plan A/B legs (batch-off, columnar-off, thread invariance, daemon
-// vs sequential) stay bit-level in BOTH modes: identical plans execute in
-// identical order, so even float results must agree to the bit.
+// Same-plan A/B legs (thread invariance, daemon vs sequential) stay
+// bit-level in BOTH modes: identical plans execute in identical order, so
+// even float results must agree to the bit.
 
 #include <gtest/gtest.h>
 
@@ -92,30 +87,19 @@ void ExpectMatchesOracle(const Outputs& got, const Outputs& want,
   }
 }
 
-/// One unoptimized execution: terminal outputs plus the observables the
-/// vectorized-exec A/B legs compare (makespan bits, per-job dataflow).
-struct OracleRun {
-  Outputs outputs;
-  double makespan = 0.0;
-  std::string dataflow;  ///< JobDataflow::ToString per job, newline-joined
-};
-
 /// Runs the plan as written — no optimizer, no reuse — and collects the
 /// terminal outputs. This is the oracle every emitted plan must match.
-Result<OracleRun> RunUnoptimized(const Plan& plan, const Dfs& dfs,
-                                 ExecOptions exec = ExecOptions{}) {
+Result<Outputs> RunUnoptimized(const Plan& plan, const Dfs& dfs) {
   Dfs run_dfs = dfs;
-  WorkflowRunner runner(plan.cluster(), nullptr, exec);
-  STUBBY_ASSIGN_OR_RETURN(WorkflowDataflow flow, runner.Run(plan, &run_dfs));
-  OracleRun run;
-  run.makespan = flow.makespan_sec;
-  for (const JobDataflow& j : flow.jobs) run.dataflow += j.ToString() + "\n";
+  WorkflowRunner runner(plan.cluster());
+  STUBBY_RETURN_NOT_OK(runner.Run(plan, &run_dfs).status());
+  Outputs outputs;
   for (const auto& [id, v] : plan.datasets()) {
     if (!v.is_workflow_output) continue;
     STUBBY_ASSIGN_OR_RETURN(DatasetPtr out, run_dfs.Get(id));
-    run.outputs.emplace(id, out->AllRows());
+    outputs.emplace(id, out->AllRows());
   }
-  return run;
+  return outputs;
 }
 
 /// Everything one mode run produced that must be thread-count invariant.
@@ -166,29 +150,8 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   auto oracle = RunUnoptimized(f->plan(), f->dfs());
   ASSERT_TRUE(oracle.ok()) << oracle.status();
 
-  // Executor-level transparency: the unoptimized plan with the batch
-  // executor off, and with batches on but column-native storage off, must
-  // reproduce raw outputs, makespan bits, and the per-job dataflow
-  // accounting exactly.
-  for (const auto& [label, exec] :
-       std::initializer_list<std::pair<const char*, ExecOptions>>{
-           {"batch-off", ExecOptions{false}},
-           {"columnar-off", ExecOptions{true, false}}}) {
-    auto oracle_off = RunUnoptimized(f->plan(), f->dfs(), exec);
-    ASSERT_TRUE(oracle_off.ok()) << oracle_off.status();
-    for (const auto& [id, rows] : oracle->outputs) {
-      ASSERT_EQ(oracle_off->outputs.count(id), 1u) << id;
-      EXPECT_TRUE(RowsBitIdentical(rows, oracle_off->outputs.at(id)))
-          << label << " oracle output " << id << " differs";
-    }
-    EXPECT_TRUE(SameCostBits(oracle->makespan, oracle_off->makespan))
-        << label << ": " << oracle->makespan << " vs "
-        << oracle_off->makespan;
-    EXPECT_EQ(oracle->dataflow, oracle_off->dataflow) << label;
-  }
-
-  // Modes, per thread count: blind, batch-off, columnar-off, cold, warm1,
-  // warm2, posthoc, bloom off/on, reopt on, reopt mis-profiled.
+  // Modes, per thread count: blind, cold, warm1, warm2, posthoc, bloom
+  // off/on, reopt on, reopt mis-profiled.
   std::map<int, std::vector<ModeResult>> by_threads;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -199,56 +162,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     ReuseSession blind_session(nullptr);
     auto blind = blind_session.Run(f->plan(), f->dfs(), opts, &pool);
     ASSERT_TRUE(blind.ok()) << blind.status();
-    ExpectMatchesOracle(blind->outputs, oracle->outputs, "blind", floats);
-
-    // Batch-off session: the full optimize+execute path with
-    // vectorized_exec off must emit the same plan and cost bits as the
-    // blind run, and its raw (pre-sort) outputs and simulated makespan
-    // must match bit-for-bit.
-    StubbyOptions batch_off_opts = opts;
-    batch_off_opts.vectorized_exec = false;
-    ReuseSession batch_off_session(nullptr);
-    auto batch_off =
-        batch_off_session.Run(f->plan(), f->dfs(), batch_off_opts, &pool);
-    ASSERT_TRUE(batch_off.ok()) << batch_off.status();
-    ExpectMatchesOracle(batch_off->outputs, oracle->outputs, "batch_off", floats);
-    EXPECT_EQ(PlanSignature(batch_off->report.plan),
-              PlanSignature(blind->report.plan));
-    EXPECT_TRUE(SameCostBits(batch_off->report.estimated_cost,
-                             blind->report.estimated_cost));
-    EXPECT_TRUE(
-        SameCostBits(batch_off->simulated_cost, blind->simulated_cost))
-        << batch_off->simulated_cost << " vs " << blind->simulated_cost;
-    ASSERT_EQ(batch_off->outputs.size(), blind->outputs.size());
-    for (const auto& [id, rows] : blind->outputs) {
-      EXPECT_TRUE(RowsBitIdentical(rows, batch_off->outputs.at(id)))
-          << "batch-off raw output " << id << " differs";
-    }
-
-    // Columnar-off session: batches stay on but the storage boundary is
-    // row-major (the pre-columnar configuration). Same transparency
-    // contract as batch_off: plan, cost bits, simulated makespan, and raw
-    // (pre-sort) outputs match the default run bit-for-bit.
-    StubbyOptions columnar_off_opts = opts;
-    columnar_off_opts.columnar_storage = false;
-    ReuseSession columnar_off_session(nullptr);
-    auto columnar_off = columnar_off_session.Run(f->plan(), f->dfs(),
-                                                 columnar_off_opts, &pool);
-    ASSERT_TRUE(columnar_off.ok()) << columnar_off.status();
-    ExpectMatchesOracle(columnar_off->outputs, oracle->outputs,
-                       "columnar_off", floats);
-    EXPECT_EQ(PlanSignature(columnar_off->report.plan),
-              PlanSignature(blind->report.plan));
-    EXPECT_TRUE(SameCostBits(columnar_off->report.estimated_cost,
-                             blind->report.estimated_cost));
-    EXPECT_TRUE(
-        SameCostBits(columnar_off->simulated_cost, blind->simulated_cost))
-        << columnar_off->simulated_cost << " vs " << blind->simulated_cost;
-    ASSERT_EQ(columnar_off->outputs.size(), blind->outputs.size());
-    for (const auto& [id, rows] : blind->outputs) {
-      EXPECT_TRUE(RowsBitIdentical(rows, columnar_off->outputs.at(id)))
-          << "columnar-off raw output " << id << " differs";
-    }
+    ExpectMatchesOracle(blind->outputs, *oracle, "blind", floats);
 
     // Cold store: the aware search probes but every probe misses — the
     // emitted plan and its cost bits must equal the blind search's.
@@ -256,7 +170,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     ReuseSession session(&store);
     auto cold = session.Run(f->plan(), f->dfs(), opts, &pool);
     ASSERT_TRUE(cold.ok()) << cold.status();
-    ExpectMatchesOracle(cold->outputs, oracle->outputs, "cold", floats);
+    ExpectMatchesOracle(cold->outputs, *oracle, "cold", floats);
     EXPECT_EQ(PlanSignature(cold->report.plan),
               PlanSignature(blind->report.plan));
     EXPECT_TRUE(SameCostBits(cold->report.estimated_cost,
@@ -271,10 +185,10 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     warm_opts.reuse_whole_workflow = false;
     auto warm1 = session.Run(f->plan(), f->dfs(), warm_opts, &pool);
     ASSERT_TRUE(warm1.ok()) << warm1.status();
-    ExpectMatchesOracle(warm1->outputs, oracle->outputs, "warm1", floats);
+    ExpectMatchesOracle(warm1->outputs, *oracle, "warm1", floats);
     auto warm2 = session.Run(f->plan(), f->dfs(), warm_opts, &pool);
     ASSERT_TRUE(warm2.ok()) << warm2.status();
-    ExpectMatchesOracle(warm2->outputs, oracle->outputs, "warm2", floats);
+    ExpectMatchesOracle(warm2->outputs, *oracle, "warm2", floats);
 
     // Post-hoc path (reuse-aware search off): rewrite only after the blind
     // search — the pre-tentpole behavior, still bit-transparent.
@@ -282,7 +196,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     posthoc_opts.reuse_aware_search = false;
     auto posthoc = session.Run(f->plan(), f->dfs(), posthoc_opts, &pool);
     ASSERT_TRUE(posthoc.ok()) << posthoc.status();
-    ExpectMatchesOracle(posthoc->outputs, oracle->outputs, "posthoc", floats);
+    ExpectMatchesOracle(posthoc->outputs, *oracle, "posthoc", floats);
 
     // Re-optimization transparency (`reopt_on` vs the blind `reopt_off`
     // baseline): with accurate profiles the adaptive runner must be an
@@ -293,7 +207,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     ReuseSession reopt_session(nullptr);
     auto reopt_on = reopt_session.Run(f->plan(), f->dfs(), reopt_opts, &pool);
     ASSERT_TRUE(reopt_on.ok()) << reopt_on.status();
-    ExpectMatchesOracle(reopt_on->outputs, oracle->outputs, "reopt_on",
+    ExpectMatchesOracle(reopt_on->outputs, *oracle, "reopt_on",
                         floats);
     EXPECT_EQ(reopt_on->adaptive.reoptimizations, 0u)
         << "accurate profiles must stay under the re-opt threshold "
@@ -323,7 +237,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     auto bloom_off =
         bloom_off_session.Run(f->plan(), f->dfs(), bloom_off_opts, &pool);
     ASSERT_TRUE(bloom_off.ok()) << bloom_off.status();
-    ExpectMatchesOracle(bloom_off->outputs, oracle->outputs, "bloom_off",
+    ExpectMatchesOracle(bloom_off->outputs, *oracle, "bloom_off",
                         floats);
     EXPECT_EQ(PlanSignature(bloom_off->report.plan),
               PlanSignature(blind->report.plan));
@@ -350,7 +264,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     auto bloom_on =
         bloom_on_session.Run(f->plan(), f->dfs(), bloom_on_opts, &pool);
     ASSERT_TRUE(bloom_on.ok()) << bloom_on.status();
-    ExpectMatchesOracle(bloom_on->outputs, oracle->outputs, "bloom_on",
+    ExpectMatchesOracle(bloom_on->outputs, *oracle, "bloom_on",
                         floats);
 
     // Mis-profiled (`reopt_misprofiled`): seeded multiplicative skew on
@@ -366,15 +280,14 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     ReuseSession mis_session(nullptr);
     auto mis = mis_session.Run(perturbed, f->dfs(), reopt_opts, &pool);
     ASSERT_TRUE(mis.ok()) << mis.status();
-    ExpectMatchesOracle(mis->outputs, oracle->outputs, "reopt_misprofiled",
+    ExpectMatchesOracle(mis->outputs, *oracle, "reopt_misprofiled",
                         floats);
 
-    by_threads[threads] = {Capture(*blind),     Capture(*batch_off),
-                           Capture(*columnar_off),
-                           Capture(*cold),      Capture(*warm1),
-                           Capture(*warm2),     Capture(*posthoc),
-                           Capture(*bloom_off), Capture(*bloom_on),
-                           Capture(*reopt_on),  Capture(*mis)};
+    by_threads[threads] = {Capture(*blind),     Capture(*cold),
+                           Capture(*warm1),     Capture(*warm2),
+                           Capture(*posthoc),   Capture(*bloom_off),
+                           Capture(*bloom_on),  Capture(*reopt_on),
+                           Capture(*mis)};
   }
 
   // Thread-count invariance: plans, cost bits, reuse counters, and raw
@@ -382,10 +295,9 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
   const std::vector<ModeResult>& t1 = by_threads.at(1);
   const std::vector<ModeResult>& t4 = by_threads.at(4);
   ASSERT_EQ(t1.size(), t4.size());
-  static const char* kModes[] = {"blind",     "batch_off", "columnar_off",
-                                 "cold",      "warm1",     "warm2",
-                                 "posthoc",   "bloom_off", "bloom_on",
-                                 "reopt_on",  "reopt_misprofiled"};
+  static const char* kModes[] = {"blind",     "cold",     "warm1",
+                                 "warm2",     "posthoc",  "bloom_off",
+                                 "bloom_on",  "reopt_on", "reopt_misprofiled"};
   for (size_t i = 0; i < t1.size(); ++i) {
     SCOPED_TRACE(kModes[i]);
     EXPECT_EQ(t1[i].plan_signature, t4[i].plan_signature);
@@ -414,7 +326,7 @@ TEST_P(DifferentialEquivalence, EveryEmittedPlanMatchesTheOracle) {
     for (int i = 0; i < 3; ++i) {
       auto r = seq_session.Run(*shared_plan, *shared_dfs, StubbyOptions{});
       ASSERT_TRUE(r.ok()) << r.status();
-      ExpectMatchesOracle(r->outputs, oracle->outputs,
+      ExpectMatchesOracle(r->outputs, *oracle,
                          "daemon-sequential " + std::to_string(i), floats);
       sequential.push_back(Capture(*r));
     }

@@ -254,24 +254,23 @@ TEST(JobRunnerTest, PrunePartitionOutOfRangeFails) {
   EXPECT_EQ(flow.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- vectorized execution A/B ----------------------------------------------
+// --- thread-count invariance ------------------------------------------------
 
 bool SameDoubleBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /// One execution of a workload's unoptimized plan: raw outputs plus the
-/// observables the transparency contract covers.
+/// observables the determinism contract covers.
 struct ExecObservables {
   std::map<std::string, std::vector<Row>> outputs;
   double makespan = 0.0;
   std::string dataflow;
 };
 
-Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool,
-                                    ExecOptions exec) {
+Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool) {
   Dfs dfs = w.dfs;
-  WorkflowRunner runner(w.plan.cluster(), pool, exec);
+  WorkflowRunner runner(w.plan.cluster(), pool);
   STUBBY_ASSIGN_OR_RETURN(WorkflowDataflow flow, runner.Run(w.plan, &dfs));
   ExecObservables obs;
   obs.makespan = flow.makespan_sec;
@@ -284,42 +283,30 @@ Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool,
   return obs;
 }
 
-/// The hard invariant behind StubbyOptions::vectorized_exec and
-/// ::columnar_storage: the default run, the batch-off run, and the
-/// columnar-off run are bit-identical in outputs (raw order, no canonical
-/// sort), per-job dataflow accounting, and makespan — at any thread count,
-/// across all eight Table 1 workloads.
-TEST(VectorizedExecTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
+/// The executor's determinism contract over all eight Table 1 workloads:
+/// a 4-thread run is bit-identical to a 1-thread run in outputs (raw
+/// order, no canonical sort), per-job dataflow accounting, and makespan.
+TEST(WorkflowRunnerTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
   for (const std::string& abbr : AllWorkloadAbbrs()) {
     WorkloadOptions wopts;
     wopts.sample_rows = 3000;
     auto w = MakeWorkload(abbr, wopts);
     ASSERT_TRUE(w.ok()) << abbr;
-    for (int threads : {1, 4}) {
-      ThreadPool pool(threads);
-      auto on = RunWorkload(*w, &pool, ExecOptions{});
-      ASSERT_TRUE(on.ok()) << abbr << " t" << threads << ": " << on.status();
-      for (const auto& [label, exec] :
-           std::initializer_list<std::pair<const char*, ExecOptions>>{
-               {"batch-off", ExecOptions{false}},
-               {"columnar-off", ExecOptions{true, false}}}) {
-        auto off = RunWorkload(*w, &pool, exec);
-        ASSERT_TRUE(off.ok()) << abbr << " t" << threads << ": "
-                              << off.status();
-        ASSERT_EQ(on->outputs.size(), off->outputs.size()) << abbr;
-        for (const auto& [id, rows] : on->outputs) {
-          ASSERT_EQ(off->outputs.count(id), 1u) << abbr << " " << id;
-          EXPECT_TRUE(RowsBitIdentical(rows, off->outputs.at(id)))
-              << abbr << " t" << threads << " output " << id
-              << " differs between default and " << label;
-        }
-        EXPECT_EQ(on->dataflow, off->dataflow)
-            << abbr << " t" << threads << " " << label;
-        EXPECT_TRUE(SameDoubleBits(on->makespan, off->makespan))
-            << abbr << " t" << threads << " " << label << ": "
-            << on->makespan << " vs " << off->makespan;
-      }
+    ThreadPool serial(1);
+    ThreadPool parallel(4);
+    auto one = RunWorkload(*w, &serial);
+    ASSERT_TRUE(one.ok()) << abbr << " t1: " << one.status();
+    auto four = RunWorkload(*w, &parallel);
+    ASSERT_TRUE(four.ok()) << abbr << " t4: " << four.status();
+    ASSERT_EQ(one->outputs.size(), four->outputs.size()) << abbr;
+    for (const auto& [id, rows] : one->outputs) {
+      ASSERT_EQ(four->outputs.count(id), 1u) << abbr << " " << id;
+      EXPECT_TRUE(RowsBitIdentical(rows, four->outputs.at(id)))
+          << abbr << " output " << id << " differs between 1 and 4 threads";
     }
+    EXPECT_EQ(one->dataflow, four->dataflow) << abbr;
+    EXPECT_TRUE(SameDoubleBits(one->makespan, four->makespan))
+        << abbr << ": " << one->makespan << " vs " << four->makespan;
   }
 }
 

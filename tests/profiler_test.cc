@@ -1,8 +1,9 @@
 // Tests for profiler/: measured stage statistics, histograms with heavy
-// hitters, group cardinality, and combine selectivity.
+// hitters, group cardinality, combine selectivity, and pruned-input reads.
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "test_workflows.h"
 
 namespace stubby {
@@ -44,6 +45,89 @@ TEST(ProfilerTest, StageStatsMeasureSelectivity) {
   // 10 groups out of ~1600 filtered rows.
   EXPECT_NEAR(reduce.stats->record_selectivity, 10.0 / 1600.0, 0.005);
   EXPECT_NEAR(reduce.stats->groups_per_record, 10.0 / 1600.0, 0.005);
+}
+
+/// Everything ProfileJob records for a one-branch, one-input job, at full
+/// precision.
+std::string ProfileFingerprint(const JobVertex& job) {
+  const Branch& b = job.branches[0];
+  const ProfileAnnotation& p = *b.annotations.profile;
+  std::string out = StrFormat("rec_bytes=%.17g groups=%.17g top=%.17g\n",
+                              p.avg_input_record_bytes, p.k2_distinct_groups,
+                              p.k2_max_group_fraction);
+  for (const KeyHistogram& h : p.key_histograms) {
+    out += StrFormat("%s [%.17g,%.17g] distinct=%llu top=%.17g:",
+                     h.field.c_str(), h.min, h.max,
+                     static_cast<unsigned long long>(h.distinct),
+                     h.max_key_fraction);
+    for (double f : h.bucket_fractions) out += StrFormat(" %.17g", f);
+    for (const auto& [v, f] : h.heavy_hitters) {
+      out += StrFormat(" (%.17g:%.17g)", v, f);
+    }
+    out += "\n";
+  }
+  std::vector<const Stage*> stages;
+  for (const Stage& s : b.inputs[0].map_stages) stages.push_back(&s);
+  for (const Stage& s : b.reduce_stages) stages.push_back(&s);
+  for (const Stage* s : stages) {
+    out += StrFormat("%s sel=%.17g bsel=%.17g groups=%.17g\n",
+                     s->name().c_str(), s->stats->record_selectivity,
+                     s->stats->byte_selectivity, s->stats->groups_per_record);
+  }
+  return out;
+}
+
+TEST(ProfilerTest, PrunedInputProfilesTheExecutedPartitionSet) {
+  // A prune list names a partition set, as the executor reads it:
+  // duplicates and order do not change what is profiled, and an entry
+  // naming a partition the input does not have is an error.
+  ClusterSpec cluster;
+  WorkflowFactory f(cluster);
+  Schema schema({"k", "x"});
+  std::vector<Row> rows;
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    rows.push_back(Row{rng.NextInt(0, 89), rng.NextDouble(0, 100)});
+  }
+  PartitionSpec range;
+  range.type = PartitionType::kRange;
+  range.partition_fields = {"k"};
+  range.sort_fields = {"k"};
+  range.split_points = {Row{int64_t{30}}, Row{int64_t{60}}};
+  Layout layout;
+  layout.partitioning = range;
+  ASSERT_TRUE(f.AddBase("IN", schema, layout, 3, rows, testing::kGB).ok());
+  ASSERT_TRUE(f.AddDataset("OUT", Schema({"k", "c"}), true).ok());
+  WorkflowFactory::JobDef j;
+  j.id = "J";
+  j.inputs = {In("IN", {Stage::Map(FilterRangeMap("f", schema, "x", 0, 50))})};
+  j.map_output_schema = schema;
+  j.reduce_stages = {Stage::Reduce(
+      AggReduce("count", schema, {"k"}, {{"x", AggOp::kCount, "c"}}), {"k"})};
+  j.output = "OUT";
+  ASSERT_TRUE(f.AddJob(std::move(j)).ok());
+
+  Profiler profiler(cluster);
+  auto profile_with = [&](std::vector<int> prune) -> Result<std::string> {
+    JobVertex job = *(*f.plan().GetJob("J"));
+    job.branches[0].inputs[0].prune_partitions = std::move(prune);
+    STUBBY_RETURN_NOT_OK(profiler.ProfileJob(f.plan(), &job, f.dfs()));
+    return ProfileFingerprint(job);
+  };
+  auto want = profile_with({0, 1});
+  ASSERT_TRUE(want.ok()) << want.status();
+  for (const std::vector<int>& prune :
+       {std::vector<int>{0, 1, 1}, std::vector<int>{1, 0}}) {
+    auto got = profile_with(prune);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *want) << "prune list of size " << prune.size();
+  }
+  // The fingerprint does tell partition sets apart.
+  auto all = profile_with({});
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_NE(*all, *want);
+
+  EXPECT_TRUE(profile_with({0, 17}).status().IsInvalidArgument());
 }
 
 TEST(ProfilerTest, ProfileCarriesHistogramsAndGroups) {

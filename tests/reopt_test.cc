@@ -151,7 +151,7 @@ TEST(AdaptiveRunnerTest, NoOpBelowThresholdBitIdenticalToWorkflowRunner) {
   StubbyOptions opts;
   opts.reoptimize = true;  // default threshold: accurate profiles stay under
   Dfs adaptive_dfs = f->dfs();
-  AdaptiveRunner runner(f->plan().cluster(), nullptr, ExecOptions{}, opts);
+  AdaptiveRunner runner(f->plan().cluster(), nullptr, opts);
   auto run = runner.Run(f->plan(), &adaptive_dfs);
   ASSERT_TRUE(run.ok()) << run.status();
 
@@ -191,7 +191,7 @@ TEST(AdaptiveRunnerTest, MisprofileTriggersSuffixOnlyReplan) {
   // the check (magnitude-4 factors land within 5% of 1 only by accident).
   opts.reoptimize_threshold = 0.05;
   Dfs dfs = f->dfs();
-  AdaptiveRunner runner(perturbed.cluster(), nullptr, ExecOptions{}, opts);
+  AdaptiveRunner runner(perturbed.cluster(), nullptr, opts);
   auto run = runner.Run(perturbed, &dfs);
   ASSERT_TRUE(run.ok()) << run.status();
 
@@ -242,7 +242,7 @@ TEST(AdaptiveRunnerTest, ReduceOnlyMisprofileTriggersReplan) {
   opts.reoptimize = true;
   opts.reoptimize_threshold = 0.05;
   Dfs dfs = f->dfs();
-  AdaptiveRunner runner(perturbed.cluster(), nullptr, ExecOptions{}, opts);
+  AdaptiveRunner runner(perturbed.cluster(), nullptr, opts);
   auto run = runner.Run(perturbed, &dfs);
   ASSERT_TRUE(run.ok()) << run.status();
 
@@ -273,7 +273,7 @@ TEST(AdaptiveRunnerTest, ThreadCountInvariance) {
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     Dfs dfs = f->dfs();
-    AdaptiveRunner runner(perturbed.cluster(), &pool, ExecOptions{}, opts);
+    AdaptiveRunner runner(perturbed.cluster(), &pool, opts);
     auto run = runner.Run(perturbed, &dfs);
     ASSERT_TRUE(run.ok()) << run.status();
     by_threads[threads] = {run->stats.ToString(),

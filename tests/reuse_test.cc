@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/threading.h"
-#include "mr/row_batch.h"
 #include "optimizer/transform.h"
 #include "reuse/result_store.h"
 #include "reuse/rewriter.h"
@@ -269,30 +268,6 @@ TEST(SignatureTest, PruneListOrderDoesNotEnterIdentity) {
   auto lb = ComputeLineage(b, f->dfs());
   ASSERT_TRUE(la.ok() && lb.ok());
   EXPECT_EQ(la->jobs.at("J1"), lb->jobs.at("J1"));
-}
-
-TEST(SignatureTest, DatasetContentKeyIgnoresStorageRepresentation) {
-  // Content addressing must hash the logical rows, not the physical
-  // layout: a column-native partition (what the columnar executor stores)
-  // and a row-native partition of the same data are the same snapshot.
-  std::vector<Row> rows = BaseRows(200);
-  StoredDataset row_major("a", Schema({"K", "V"}), Layout{});
-  row_major.AddPartition(rows);
-
-  StoredDataset col_major("b", Schema({"K", "V"}), Layout{});
-  col_major.AddPartition(
-      PartitionData::FromBatch(RowBatch::FromRows(rows, 2)));
-  ASSERT_TRUE(col_major.partition_data(0).column_native());
-
-  EXPECT_EQ(DatasetContentKey(row_major), DatasetContentKey(col_major));
-
-  // Different content must still split keys through the columnar path.
-  StoredDataset other("c", Schema({"K", "V"}), Layout{});
-  std::vector<Row> tweaked = rows;
-  tweaked[57] = Row{int64_t{1234}, 5.0};
-  other.AddPartition(
-      PartitionData::FromBatch(RowBatch::FromRows(tweaked, 2)));
-  EXPECT_NE(DatasetContentKey(row_major), DatasetContentKey(other));
 }
 
 // --- the store -------------------------------------------------------------

@@ -252,28 +252,6 @@ TEST_F(ThreadCountInvariance, ExecutionIsBitIdentical) {
       EXPECT_EQ(digest, ref_digest) << "threads=" << threads;
       EXPECT_EQ(flow->makespan_sec, ref_makespan) << "threads=" << threads;
     }
-
-    // The vectorized-exec switch joins the invariance contract: a batch-off
-    // run at this width must reproduce the same digest and makespan bits.
-    WorkflowRunner row_runner(w->plan.cluster(), &pool, ExecOptions{false});
-    Dfs row_dfs = w->dfs;
-    auto row_flow = row_runner.Run(w->plan, &row_dfs);
-    ASSERT_TRUE(row_flow.ok()) << row_flow.status();
-    EXPECT_EQ(OutputDigest(w->plan, row_dfs), ref_digest)
-        << "vectorized off, threads=" << threads;
-    EXPECT_EQ(row_flow->makespan_sec, ref_makespan)
-        << "vectorized off, threads=" << threads;
-
-    // So does the columnar-storage switch: batches on, row-major storage.
-    WorkflowRunner col_off_runner(w->plan.cluster(), &pool,
-                                  ExecOptions{true, false});
-    Dfs col_off_dfs = w->dfs;
-    auto col_off_flow = col_off_runner.Run(w->plan, &col_off_dfs);
-    ASSERT_TRUE(col_off_flow.ok()) << col_off_flow.status();
-    EXPECT_EQ(OutputDigest(w->plan, col_off_dfs), ref_digest)
-        << "columnar off, threads=" << threads;
-    EXPECT_EQ(col_off_flow->makespan_sec, ref_makespan)
-        << "columnar off, threads=" << threads;
   }
 }
 
