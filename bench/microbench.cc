@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -16,8 +17,10 @@
 #include "exec/workflow_runner.h"
 #include "exec/wrappers.h"
 #include "mr/partitioner.h"
+#include "optimizer/configuration.h"
 #include "optimizer/rrs.h"
 #include "optimizer/transform.h"
+#include "optimizer/unit.h"
 #include "profiler/profiler.h"
 #include "optimizer/stubby.h"
 #include "workloads/builder.h"
@@ -160,6 +163,70 @@ void BM_WhatIfCostIR(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WhatIfCostIR);
+
+// One RRS point of BR's largest optimization unit (the most jobs), every
+// tunable job at its rule-of-thumb configuration.
+struct RrsPoint {
+  Plan plan;
+  std::vector<std::string> tuned;
+  std::vector<JobConfig> configs;
+};
+
+const RrsPoint& BrRrsPoint() {
+  static const RrsPoint point = [] {
+    WorkloadOptions options;
+    options.sample_rows = 5000;
+    auto w = MakeWorkload("BR", options);
+    STUBBY_CHECK_OK(w.status());
+    Profiler profiler(options.cluster);
+    Dfs dfs = w->dfs;
+    STUBBY_CHECK_OK(profiler.ProfilePlan(&w->plan, &dfs));
+    RrsPoint p{w->plan, {}, {}};
+    std::vector<std::string> largest;
+    std::set<std::string> processed;
+    while (auto unit = NextUnit(p.plan, processed)) {
+      if (unit->AllJobs().size() > largest.size()) largest = unit->AllJobs();
+      for (const auto& id : unit->producers) processed.insert(id);
+    }
+    for (const std::string& id : largest) {
+      const JobVertex& job = **p.plan.GetJob(id);
+      if (SpaceForJob(job, p.plan.cluster()).size() == 0) continue;
+      p.tuned.push_back(id);
+      p.configs.push_back(EffectiveConfig(
+          job, RuleOfThumbConfig(job, p.plan.cluster(), &p.plan)));
+    }
+    return p;
+  }();
+  return point;
+}
+
+// Arg 0 prices the point through the plan pricer compiled once for the
+// subplan, as the unit search does; arg 1 prices it through Cost on a plan
+// copy with the configurations applied.
+void BM_RrsPointBR(benchmark::State& state) {
+  const RrsPoint& point = BrRrsPoint();
+  WhatIfEngine whatif(point.plan.cluster());
+  if (state.range(0) == 0) {
+    auto pricer = whatif.Compile(point.plan, point.tuned);
+    STUBBY_CHECK_OK(pricer.status());
+    for (auto _ : state) {
+      CostEstimate est = whatif.Cost(*pricer, point.configs);
+      benchmark::DoNotOptimize(est.cost);
+    }
+  } else {
+    for (auto _ : state) {
+      Plan applied = point.plan;
+      for (size_t i = 0; i < point.tuned.size(); ++i) {
+        STUBBY_CHECK_OK(
+            ApplyConfiguration(&applied, point.tuned[i], point.configs[i]));
+      }
+      CostEstimate est = whatif.Cost(applied);
+      benchmark::DoNotOptimize(est.cost);
+    }
+  }
+  state.counters["tuned_jobs"] = static_cast<double>(point.tuned.size());
+}
+BENCHMARK(BM_RrsPointBR)->ArgName("applied_copy")->Arg(0)->Arg(1);
 
 // Same costing loop with the memo attached: after the first iteration every
 // Cost call is a whole-plan cache hit.

@@ -61,7 +61,6 @@ void MixProfile(CostDigest* d, const std::optional<ProfileAnnotation>& p) {
   d->Mix(p->avg_input_record_bytes);
   d->Mix(static_cast<uint64_t>(p->key_histograms.size()));
   for (const KeyHistogram& h : p->key_histograms) MixHistogram(d, h);
-  d->Mix(p->combine_selectivity);
   d->Mix(p->combine_cpu_per_record);
   d->Mix(p->k2_distinct_groups);
   d->Mix(p->k2_max_group_fraction);
@@ -172,15 +171,16 @@ CostDigest JobStructureDigest(const JobVertex& job) {
   return d;
 }
 
-void MixJobConfiguration(CostDigest* d, const JobVertex& job) {
-  MixConfig(d, job.config);
+void MixJobConfiguration(CostDigest* d, const JobVertex& job,
+                         const JobConfig& config) {
+  MixConfig(d, config);
   // EffectiveReduceTasks folds in conditions and range-partition overrides.
-  d->Mix(static_cast<uint64_t>(job.EffectiveReduceTasks()));
+  d->Mix(static_cast<uint64_t>(job.EffectiveReduceTasks(config)));
 }
 
 CostDigest JobContentDigest(const JobVertex& job) {
   CostDigest d = JobStructureDigest(job);
-  MixJobConfiguration(&d, job);
+  MixJobConfiguration(&d, job, job.config);
   return d;
 }
 
@@ -208,33 +208,19 @@ void MixBaseDatasets(CostDigest* d, const Plan& plan) {
 }  // namespace
 
 CostKey PlanCostDigest(const Plan& plan) {
-  CostDigest d;
-  d.Mix(static_cast<uint64_t>(plan.num_jobs()));
+  std::vector<CostKey> keys;
+  keys.reserve(plan.num_jobs());
   for (const auto& [jid, job] : plan.jobs()) {
-    CostKey k = JobContentDigest(job).value();
-    d.Mix(k.first);
-    d.Mix(k.second);
+    keys.push_back(JobContentDigest(job).value());
   }
-  MixBaseDatasets(&d, plan);
-  return d.value();
+  return PlanCostDigestFrom(plan, keys);
 }
 
-std::map<std::string, CostDigest> JobContentDigests(const Plan& plan) {
-  std::map<std::string, CostDigest> out;
-  for (const auto& [jid, job] : plan.jobs()) {
-    out.emplace(jid, JobContentDigest(job));
-  }
-  return out;
-}
-
-CostKey PlanCostDigestFrom(
-    const Plan& plan, const std::map<std::string, CostDigest>& job_digests) {
+CostKey PlanCostDigestFrom(const Plan& plan,
+                           const std::vector<CostKey>& job_keys) {
   CostDigest d;
   d.Mix(static_cast<uint64_t>(plan.num_jobs()));
-  for (const auto& [jid, job] : plan.jobs()) {
-    auto it = job_digests.find(jid);
-    CostKey k = it != job_digests.end() ? it->second.value()
-                                        : JobContentDigest(job).value();
+  for (const CostKey& k : job_keys) {
     d.Mix(k.first);
     d.Mix(k.second);
   }

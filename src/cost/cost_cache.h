@@ -66,6 +66,11 @@ struct CostKeyHash {
 /// jobs. Order-sensitive: Mix(a), Mix(b) differs from Mix(b), Mix(a).
 class CostDigest {
  public:
+  CostDigest() = default;
+  /// Resumes mixing after a digest whose value() was `state` (the value is
+  /// the digest's whole state).
+  explicit CostDigest(CostKey state) : a_(state.first), b_(state.second) {}
+
   CostDigest& Mix(uint64_t v);
   CostDigest& Mix(double v);
   CostDigest& Mix(bool v) { return Mix(static_cast<uint64_t>(v ? 1 : 2)); }
@@ -79,23 +84,25 @@ class CostDigest {
   uint64_t b_ = 0xbb67ae8584caa73bull;
 };
 
-/// Digest over everything WhatIfEngine::PredictJob and the phase-time model
-/// read from the job itself: id, configuration, effective reduce tasks,
-/// branch structure, stage statistics, partition specs, prune lists, and
-/// profile annotations. Equivalent to JobStructureDigest followed by
-/// MixJobConfiguration.
+/// Digest over everything the what-if engine's job prediction and the
+/// phase-time model read from the job itself: id, configuration, effective
+/// reduce tasks, branch structure, stage statistics, partition specs, prune
+/// lists, and profile annotations. Equivalent to JobStructureDigest
+/// followed by MixJobConfiguration with the job's own configuration.
 CostDigest JobContentDigest(const JobVertex& job);
 
 /// The configuration-independent prefix of JobContentDigest: id and branch
 /// structure, but not the JobConfig or the effective reduce-task count.
-/// ApplyConfiguration only changes the latter, so the RRS loop computes
-/// this once per unit job and re-mixes just the configuration per point.
+/// An RRS point changes only the latter, so the plan pricer computes this
+/// once per tuned job and re-mixes just the configuration per point.
 CostDigest JobStructureDigest(const JobVertex& job);
 
-/// Mixes the configuration-dependent suffix (JobConfig fields and
-/// EffectiveReduceTasks) into a structure digest, completing it to
+/// Mixes the configuration-dependent suffix (the JobConfig fields and the
+/// effective reduce-task count) of `job` configured as `config` into a
+/// structure digest. With `config == job.config` this completes it to
 /// JobContentDigest(job).
-void MixJobConfiguration(CostDigest* d, const JobVertex& job);
+void MixJobConfiguration(CostDigest* d, const JobVertex& job,
+                         const JobConfig& config);
 
 /// Mixes one Value (type tag + payload, bit-exact for doubles). Exposed for
 /// digests over row contents — the reuse subsystem's dataset content keys.
@@ -110,16 +117,12 @@ void MixPartitionSpecDigest(CostDigest* d, const PartitionSpec& p);
 /// Graph topology is covered through the jobs' input/output dataset ids.
 CostKey PlanCostDigest(const Plan& plan);
 
-/// Content digests of every job in the plan, keyed by job id. A caller
-/// that re-costs many single-job variations of one plan (the RRS loop)
-/// computes this once and refreshes only the perturbed jobs' entries.
-std::map<std::string, CostDigest> JobContentDigests(const Plan& plan);
-
-/// PlanCostDigest assembled from precomputed per-job digests. The caller
-/// guarantees `job_digests` holds JobContentDigest(job) for every job of
-/// the plan; the result is identical to PlanCostDigest(plan).
-CostKey PlanCostDigestFrom(
-    const Plan& plan, const std::map<std::string, CostDigest>& job_digests);
+/// PlanCostDigest assembled from precomputed per-job keys, one per job of
+/// `plan` in `plan.jobs()` order. With JobContentDigest(job) for every job
+/// the result is PlanCostDigest(plan); the plan pricer passes the tuned
+/// jobs' keys under a point's configurations instead.
+CostKey PlanCostDigestFrom(const Plan& plan,
+                           const std::vector<CostKey>& job_keys);
 
 /// Counters describing what the costing layer did during one optimizer run
 /// (or any other instrumented sequence of what-if calls).
@@ -130,9 +133,11 @@ struct CostInstrumentation {
   /// attached; without a cache every Cost call is a full computation).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  /// Dataflow prediction passes (each predicts every job it reaches).
+  /// Dataflow prediction passes: one per plan or configuration point priced
+  /// without a memo hit, once the pass reaches a job.
   uint64_t full_predictions = 0;
-  /// Individual job predictions.
+  /// Individual job predictions. A plan pricer predicts the jobs no tuned
+  /// job reaches once when compiled, then only the rest per point.
   uint64_t job_predictions = 0;
   /// Always 0; perfbench/ reports it. Delete with the next perfbench/ change.
   uint64_t job_cache_hits = 0;

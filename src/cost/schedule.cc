@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
+#include <string>
 
 namespace stubby {
 
@@ -14,7 +14,8 @@ namespace {
 // optimizer's inner costing loop. The slowest task's extra time (skew) is
 // charged to the final batch of each phase.
 struct JobState {
-  const ScheduledJob* job = nullptr;
+  const JobTaskTimes* times = nullptr;
+  size_t rank = 0;  ///< FIFO tie-break among equally ready jobs
   int deps_remaining = 0;
   double ready_time = -1.0;  ///< maps may start (deps done + overhead)
   int maps_pending = 0;
@@ -41,31 +42,33 @@ struct Event {
 
 }  // namespace
 
-Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
-                                       const ClusterSpec& cluster) {
-  std::map<std::string, size_t> index;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!index.emplace(jobs[i].id, i).second) {
-      return Status::InvalidArgument("duplicate job id '" + jobs[i].id + "'");
+ScheduleGraph MakeScheduleGraph(const std::vector<std::vector<size_t>>& deps,
+                                std::vector<size_t> rank) {
+  ScheduleGraph g;
+  g.dependents.resize(deps.size());
+  g.num_deps.assign(deps.size(), 0);
+  for (size_t i = 0; i < deps.size(); ++i) {
+    for (size_t d : deps[i]) {
+      g.dependents[d].push_back(i);
+      g.num_deps[i]++;
     }
   }
-  std::vector<JobState> state(jobs.size());
-  std::vector<std::vector<size_t>> dependents(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    state[i].job = &jobs[i];
-    state[i].maps_pending = std::max(0, jobs[i].times.map_tasks);
-    state[i].reduces_pending = std::max(0, jobs[i].times.reduce_tasks);
-    state[i].deps_remaining = 0;
-    for (const auto& d : jobs[i].deps) {
-      auto it = index.find(d);
-      if (it == index.end()) {
-        return Status::InvalidArgument("job '" + jobs[i].id +
-                                       "' depends on unknown job '" + d + "'");
-      }
-      dependents[it->second].push_back(i);
-      state[i].deps_remaining++;
-    }
+  g.rank = std::move(rank);
+  return g;
+}
+
+Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
+                                     const std::vector<JobTaskTimes>& times,
+                                     const ClusterSpec& cluster) {
+  std::vector<JobState> state(times.size());
+  for (size_t i = 0; i < times.size(); ++i) {
+    state[i].times = &times[i];
+    state[i].rank = graph.rank[i];
+    state[i].maps_pending = std::max(0, times[i].map_tasks);
+    state[i].reduces_pending = std::max(0, times[i].reduce_tasks);
+    state[i].deps_remaining = graph.num_deps[i];
   }
+  const std::vector<std::vector<size_t>>& dependents = graph.dependents;
 
   int free_map = cluster.total_map_slots();
   int free_reduce = cluster.total_reduce_slots();
@@ -76,23 +79,22 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
 
   for (size_t i = 0; i < state.size(); ++i) {
     if (state[i].deps_remaining == 0) {
-      state[i].ready_time = state[i].job->times.job_overhead_sec;
+      state[i].ready_time = state[i].times->job_overhead_sec;
     }
   }
 
-  auto finish_job = [&](size_t i, std::vector<size_t>* newly_ready) {
+  auto finish_job = [&](size_t i) {
     state[i].done = true;
     state[i].finish_time = now;
     for (size_t dep : dependents[i]) {
       if (--state[dep].deps_remaining == 0) {
-        state[dep].ready_time =
-            now + state[dep].job->times.job_overhead_sec;
-        newly_ready->push_back(dep);
+        state[dep].ready_time = now + state[dep].times->job_overhead_sec;
       }
     }
   };
 
-  // Schedules as many ready tasks as slots allow; FIFO by (ready_time, id).
+  // Schedules as many ready tasks as slots allow; FIFO by (ready_time,
+  // rank).
   auto dispatch = [&]() {
     // Map tasks.
     while (free_map > 0) {
@@ -103,7 +105,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
           if (best == state.size() ||
               state[i].ready_time < state[best].ready_time ||
               (state[i].ready_time == state[best].ready_time &&
-               state[i].job->id < state[best].job->id)) {
+               state[i].rank < state[best].rank)) {
             best = i;
           }
         }
@@ -114,8 +116,8 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
       js.maps_pending -= n;
       js.maps_running += n;
       free_map -= n;
-      double dur = js.maps_pending == 0 ? js.job->times.map_max_sec
-                                        : js.job->times.map_avg_sec;
+      double dur = js.maps_pending == 0 ? js.times->map_max_sec
+                                        : js.times->map_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kMapBatchDone,
                     best, n});
     }
@@ -128,7 +130,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
           if (best == state.size() ||
               state[i].reduce_ready_time < state[best].reduce_ready_time ||
               (state[i].reduce_ready_time == state[best].reduce_ready_time &&
-               state[i].job->id < state[best].job->id)) {
+               state[i].rank < state[best].rank)) {
             best = i;
           }
         }
@@ -139,8 +141,8 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
       js.reduces_pending -= n;
       js.reduces_running += n;
       free_reduce -= n;
-      double dur = js.reduces_pending == 0 ? js.job->times.reduce_max_sec
-                                           : js.job->times.reduce_avg_sec;
+      double dur = js.reduces_pending == 0 ? js.times->reduce_max_sec
+                                           : js.times->reduce_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kReduceBatchDone,
                     best, n});
     }
@@ -149,7 +151,7 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
   // Jobs with zero tasks complete instantly at their ready time; model them
   // as a zero-length map batch.
   for (size_t i = 0; i < state.size(); ++i) {
-    if (state[i].job->times.map_tasks <= 0) state[i].maps_pending = 1;
+    if (state[i].times->map_tasks <= 0) state[i].maps_pending = 1;
   }
 
   // Kick-off events at initial ready times so that jobs whose overhead
@@ -190,36 +192,79 @@ Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
     pq.pop();
     now = ev.time;
     JobState& js = state[ev.job_index];
-    std::vector<size_t> newly_ready;
     if (ev.kind == Event::kMapBatchDone) {
       js.maps_running -= ev.count;
       free_map += ev.count;
       if (js.maps_pending == 0 && js.maps_running == 0) {
-        if (js.job->times.reduce_tasks > 0) {
+        if (js.times->reduce_tasks > 0) {
           js.reduce_ready_time = now;
         } else if (!js.done) {
-          finish_job(ev.job_index, &newly_ready);
+          finish_job(ev.job_index);
         }
       }
     } else {
       js.reduces_running -= ev.count;
       free_reduce += ev.count;
       if (js.reduces_pending == 0 && js.reduces_running == 0 && !js.done) {
-        finish_job(ev.job_index, &newly_ready);
+        finish_job(ev.job_index);
       }
     }
     dispatch();
   }
 
-  ScheduleResult result;
-  for (const auto& js : state) {
-    if (!js.done) {
-      return Status::Internal("job '" + js.job->id +
-                              "' never completed in simulation (cyclic "
+  JobSchedule result;
+  result.finish_sec.reserve(state.size());
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (!state[i].done) {
+      return Status::Internal("job #" + std::to_string(i) +
+                              " never completed in simulation (cyclic "
                               "dependencies?)");
     }
-    result.job_finish_sec[js.job->id] = js.finish_time;
-    result.makespan_sec = std::max(result.makespan_sec, js.finish_time);
+    result.finish_sec.push_back(state[i].finish_time);
+    result.makespan_sec = std::max(result.makespan_sec, state[i].finish_time);
+  }
+  return result;
+}
+
+Result<ScheduleResult> SimulateCluster(const std::vector<ScheduledJob>& jobs,
+                                       const ClusterSpec& cluster) {
+  // Job indices in id order: the tie-break ranks, and the lookup for deps.
+  std::vector<size_t> by_id(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) by_id[i] = i;
+  std::sort(by_id.begin(), by_id.end(),
+            [&](size_t a, size_t b) { return jobs[a].id < jobs[b].id; });
+  std::vector<size_t> rank(jobs.size());
+  for (size_t r = 0; r < by_id.size(); ++r) {
+    if (r > 0 && jobs[by_id[r]].id == jobs[by_id[r - 1]].id) {
+      return Status::InvalidArgument("duplicate job id '" +
+                                     jobs[by_id[r]].id + "'");
+    }
+    rank[by_id[r]] = r;
+  }
+  std::vector<std::vector<size_t>> deps(jobs.size());
+  std::vector<JobTaskTimes> times;
+  times.reserve(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    for (const auto& d : jobs[i].deps) {
+      auto it = std::lower_bound(
+          by_id.begin(), by_id.end(), d,
+          [&](size_t j, const std::string& id) { return jobs[j].id < id; });
+      if (it == by_id.end() || jobs[*it].id != d) {
+        return Status::InvalidArgument("job '" + jobs[i].id +
+                                       "' depends on unknown job '" + d + "'");
+      }
+      deps[i].push_back(*it);
+    }
+    times.push_back(jobs[i].times);
+  }
+  STUBBY_ASSIGN_OR_RETURN(
+      JobSchedule sched,
+      SimulateSchedule(MakeScheduleGraph(deps, std::move(rank)), times,
+                       cluster));
+  ScheduleResult result;
+  result.makespan_sec = sched.makespan_sec;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    result.job_finish_sec[jobs[i].id] = sched.finish_sec[i];
   }
   return result;
 }

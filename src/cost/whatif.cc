@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "cost/cost_cache.h"
 #include "cost/schedule.h"
@@ -125,15 +126,48 @@ ReduceDistribution EstimateReduceDistribution(const Branch& branch, int R) {
 
 }  // namespace
 
-Result<JobDataflow> WhatIfEngine::PredictJob(
-    const Plan& plan, const JobVertex& job,
-    std::map<std::string, PredictedDataset>* datasets) const {
-  (void)plan;
+/// One job of a compiled plan: its dataset reads and writes as indices into
+/// the pricer's dataset table (-1: a read with no prediction, or no tee).
+struct PlanPricer::Job {
+  struct BranchSlots {
+    std::vector<int> input_ds;                 ///< per input
+    std::vector<std::vector<int>> input_tees;  ///< per input, per map stage
+    std::vector<int> merged_tees;              ///< per merged map stage
+    std::vector<int> reduce_tees;              ///< per reduce stage
+    int output_ds = -1;
+  };
+
+  const JobVertex* vertex = nullptr;
+  /// Index into the point's configurations, or -1 when not tuned.
+  int tuned_slot = -1;
+  /// Tuned, or downstream of a tuned job.
+  bool varying = false;
+  std::vector<InputGroup> groups;
+  std::vector<int> group_ds;
+  std::vector<BranchSlots> branches;
+  /// Per branch: the reduce distribution, when the job's R is pinned
+  /// (empty otherwise).
+  std::vector<ReduceDistribution> pinned_dists;
+  /// The prediction of a fixed job.
+  JobDataflow dataflow;
+  JobTaskTimes times;
+};
+
+PlanPricer::PlanPricer(const PhaseTimeModel& model) : model_(&model) {}
+PlanPricer::PlanPricer(PlanPricer&&) noexcept = default;
+PlanPricer& PlanPricer::operator=(PlanPricer&&) noexcept = default;
+PlanPricer::~PlanPricer() = default;
+
+Result<JobDataflow> PlanPricer::PredictJob(
+    const Job& cj, const JobConfig& config,
+    std::vector<PredictedDataset>* datasets) const {
+  const JobVertex& job = *cj.vertex;
+  auto& table = *datasets;
   JobDataflow df;
   df.job_id = job.id;
-  const int R = job.map_only() ? 0 : job.EffectiveReduceTasks();
+  const int R = job.map_only() ? 0 : job.EffectiveReduceTasks(config);
   df.num_reduce_tasks = R;
-  df.output_compressed = job.config.compress_output;
+  df.output_compressed = config.compress_output;
 
   struct BranchAccum {
     double map_out_records = 0.0;
@@ -142,14 +176,13 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
   };
   std::vector<BranchAccum> acc(job.branches.size());
 
-  std::vector<InputGroup> groups = GroupBranchInputs(job);
-  for (const InputGroup& g : groups) {
-    auto it = datasets->find(g.dataset_id);
-    if (it == datasets->end()) {
+  for (size_t gi = 0; gi < cj.groups.size(); ++gi) {
+    const InputGroup& g = cj.groups[gi];
+    if (cj.group_ds[gi] < 0) {
       return Status::FailedPrecondition("no size prediction for dataset '" +
                                         g.dataset_id + "'");
     }
-    const PredictedDataset& pred = it->second;
+    const PredictedDataset& pred = table[cj.group_ds[gi]];
     double frac = g.prune_partitions.empty() ? 1.0 : g.prune_fraction;
     double in_records = pred.records * frac;
     double in_bytes = pred.bytes * frac;
@@ -167,7 +200,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     } else {
       tasks = std::max(
           1, static_cast<int>(
-                 std::ceil(in_stored / (job.config.split_mb * kMB))));
+                 std::ceil(in_stored / (config.split_mb * kMB))));
       tasks = std::min(tasks, kMaxSimulatedMapTasks);
       max_task_bytes = in_bytes / tasks;
     }
@@ -188,10 +221,12 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     // full volume while I/O and first-stage CPU see the pruned read.
     for (const auto& [bi, ii] : g.subscribers) {
       const BranchInput& input = job.branches[bi].inputs[ii];
+      const std::vector<int>& tees = cj.branches[bi].input_tees[ii];
       double recs = pred.records;
       double bytes = pred.bytes;
       double cpu_basis = in_records;
-      for (const Stage& s : input.map_stages) {
+      for (size_t si = 0; si < input.map_stages.size(); ++si) {
+        const Stage& s = input.map_stages[si];
         if (!s.stats) {
           return Status::FailedPrecondition(
               "stage '" + s.name() + "' of job '" + job.id +
@@ -201,7 +236,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         recs *= s.stats->record_selectivity;
         bytes *= s.stats->byte_selectivity;
         cpu_basis = recs;
-        if (!s.tee_dataset.empty()) {
+        if (tees[si] >= 0) {
           df.tee_bytes += static_cast<uint64_t>(bytes);
           PredictedDataset tee;
           tee.records = recs;
@@ -209,7 +244,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = bytes;
           tee.partitions = tasks;
           tee.max_partition_fraction = 1.0 / std::max(1, tasks);
-          (*datasets)[s.tee_dataset] = tee;
+          table[tees[si]] = tee;
         }
       }
       // An empty pipeline forwards exactly what was read.
@@ -224,18 +259,19 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
   for (size_t bi = 0; bi < job.branches.size(); ++bi) {
     const Branch& b = job.branches[bi];
     if (!b.merge_mode()) continue;
+    const Job::BranchSlots& slots = cj.branches[bi];
     int tasks = 1;
     double merged_recs = 0.0;
     double merged_bytes = 0.0;
     double task_in_bytes = 0.0;   // avg per task, across inputs
     double max_task_bytes = 0.0;
-    for (const BranchInput& input : b.inputs) {
-      auto it = datasets->find(input.dataset_id);
-      if (it == datasets->end()) {
+    for (size_t ii = 0; ii < b.inputs.size(); ++ii) {
+      const BranchInput& input = b.inputs[ii];
+      if (slots.input_ds[ii] < 0) {
         return Status::FailedPrecondition("no size prediction for dataset '" +
                                           input.dataset_id + "'");
       }
-      const PredictedDataset& pred = it->second;
+      const PredictedDataset& pred = table[slots.input_ds[ii]];
       double frac =
           input.prune_partitions.empty() ? 1.0 : input.prune_fraction;
       int in_tasks = input.prune_partitions.empty()
@@ -256,7 +292,8 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
       double recs = pred.records;
       double bytes = pred.bytes;
       double cpu_basis = in_records;
-      for (const Stage& s : input.map_stages) {
+      for (size_t si = 0; si < input.map_stages.size(); ++si) {
+        const Stage& s = input.map_stages[si];
         if (!s.stats) {
           return Status::FailedPrecondition(
               "stage '" + s.name() + "' of job '" + job.id +
@@ -266,7 +303,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         recs *= s.stats->record_selectivity;
         bytes *= s.stats->byte_selectivity;
         cpu_basis = recs;
-        if (!s.tee_dataset.empty()) {
+        if (slots.input_tees[ii][si] >= 0) {
           df.tee_bytes += static_cast<uint64_t>(bytes);
           PredictedDataset tee;
           tee.records = recs;
@@ -274,7 +311,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = bytes;
           tee.partitions = in_tasks;
           tee.max_partition_fraction = 1.0 / std::max(1, in_tasks);
-          (*datasets)[s.tee_dataset] = tee;
+          table[slots.input_tees[ii][si]] = tee;
         }
       }
       merged_recs += input.map_stages.empty() ? in_records : recs;
@@ -287,7 +324,8 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     // Fold the merged stages.
     double recs = merged_recs;
     double bytes = merged_bytes;
-    for (const Stage& s : b.merged_map_stages) {
+    for (size_t si = 0; si < b.merged_map_stages.size(); ++si) {
+      const Stage& s = b.merged_map_stages[si];
       if (!s.stats) {
         return Status::FailedPrecondition("stage '" + s.name() +
                                           "' of job '" + job.id +
@@ -296,7 +334,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
       df.map_cpu_units += recs * s.stats->cpu_per_record;
       recs *= s.stats->record_selectivity;
       bytes *= s.stats->byte_selectivity;
-      if (!s.tee_dataset.empty()) {
+      if (slots.merged_tees[si] >= 0) {
         df.tee_bytes += static_cast<uint64_t>(bytes);
         PredictedDataset tee;
         tee.records = recs;
@@ -304,7 +342,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         tee.stored_bytes = bytes;
         tee.partitions = tasks;
         tee.max_partition_fraction = 1.0 / std::max(1, tasks);
-        (*datasets)[s.tee_dataset] = tee;
+        table[slots.merged_tees[si]] = tee;
       }
     }
     acc[bi].map_out_records = recs;
@@ -314,6 +352,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
 
   for (size_t bi = 0; bi < job.branches.size(); ++bi) {
     const Branch& b = job.branches[bi];
+    const Job::BranchSlots& slots = cj.branches[bi];
     double recs = acc[bi].map_out_records;
     double bytes = acc[bi].map_out_bytes;
 
@@ -325,9 +364,9 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     // est_pass_fraction selectivity already shrank the shuffle above.
     if (b.bloom) {
       const BranchInput& build = b.inputs[b.bloom->build_input];
-      auto it = datasets->find(build.dataset_id);
-      if (it != datasets->end()) {
-        const PredictedDataset& pred = it->second;
+      const int build_ds = slots.input_ds[b.bloom->build_input];
+      if (build_ds >= 0) {
+        const PredictedDataset& pred = table[build_ds];
         double frac =
             build.prune_partitions.empty() ? 1.0 : build.prune_fraction;
         double in_records = pred.records * frac;
@@ -356,11 +395,11 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
       out.records = recs;
       out.bytes = bytes;
       out.stored_bytes =
-          job.config.compress_output ? bytes * model_.cluster().compress_ratio
-                                     : bytes;
+          config.compress_output ? bytes * model_->cluster().compress_ratio
+                                 : bytes;
       out.partitions = std::max(1, acc[bi].tasks);
       out.max_partition_fraction = 1.0 / out.partitions;
-      (*datasets)[b.output_dataset] = out;
+      table[slots.output_ds] = out;
       continue;
     }
 
@@ -373,7 +412,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     // error stems from the profiled group cardinality.
     double c_recs = recs;
     double c_bytes = bytes;
-    if (job.config.use_combiner && b.combiner != nullptr &&
+    if (config.use_combiner && b.combiner != nullptr &&
         b.annotations.profile) {
       const ProfileAnnotation& profile = *b.annotations.profile;
       double groups = profile.k2_distinct_groups;
@@ -393,7 +432,9 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     df.reduce_input_records += static_cast<uint64_t>(c_recs);
     df.reduce_input_bytes += static_cast<uint64_t>(c_bytes);
 
-    ReduceDistribution dist = EstimateReduceDistribution(b, std::max(1, R));
+    const ReduceDistribution dist =
+        cj.pinned_dists.empty() ? EstimateReduceDistribution(b, std::max(1, R))
+                                : cj.pinned_dists[bi];
     df.nonempty_reduce_partitions =
         std::max(df.nonempty_reduce_partitions, dist.nonempty);
     df.max_reduce_input_bytes += static_cast<uint64_t>(
@@ -406,7 +447,8 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     double r_recs = c_recs;
     double r_bytes = c_bytes;
     bool first_stage = true;
-    for (const Stage& s : b.reduce_stages) {
+    for (size_t si = 0; si < b.reduce_stages.size(); ++si) {
+      const Stage& s = b.reduce_stages[si];
       if (!s.stats) {
         return Status::FailedPrecondition("stage '" + s.name() +
                                           "' of job '" + job.id +
@@ -417,7 +459,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         r_recs = recs * s.stats->record_selectivity;
         r_bytes = bytes * s.stats->byte_selectivity;
         first_stage = false;
-        if (!s.tee_dataset.empty()) {
+        if (slots.reduce_tees[si] >= 0) {
           df.tee_bytes += static_cast<uint64_t>(r_bytes);
           PredictedDataset tee;
           tee.records = r_recs;
@@ -425,14 +467,14 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
           tee.stored_bytes = r_bytes;
           tee.partitions = std::max(1, R);
           tee.max_partition_fraction = dist.max_fraction;
-          (*datasets)[s.tee_dataset] = tee;
+          table[slots.reduce_tees[si]] = tee;
         }
         continue;
       }
       first_stage = false;
       r_recs *= s.stats->record_selectivity;
       r_bytes *= s.stats->byte_selectivity;
-      if (!s.tee_dataset.empty()) {
+      if (slots.reduce_tees[si] >= 0) {
         df.tee_bytes += static_cast<uint64_t>(r_bytes);
         PredictedDataset tee;
         tee.records = r_recs;
@@ -440,7 +482,7 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
         tee.stored_bytes = r_bytes;
         tee.partitions = std::max(1, R);
         tee.max_partition_fraction = dist.max_fraction;
-        (*datasets)[s.tee_dataset] = tee;
+        table[slots.reduce_tees[si]] = tee;
       }
     }
     df.output_records += static_cast<uint64_t>(r_recs);
@@ -449,20 +491,95 @@ Result<JobDataflow> WhatIfEngine::PredictJob(
     PredictedDataset out;
     out.records = r_recs;
     out.bytes = r_bytes;
-    out.stored_bytes = job.config.compress_output
-                           ? r_bytes * model_.cluster().compress_ratio
+    out.stored_bytes = config.compress_output
+                           ? r_bytes * model_->cluster().compress_ratio
                            : r_bytes;
     out.partitions = std::max(1, R);
     out.max_partition_fraction = dist.max_fraction;
-    (*datasets)[b.output_dataset] = out;
+    table[slots.output_ds] = out;
   }
   return df;
 }
 
-Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
-    const Plan& plan) const {
+Result<WorkflowDataflow> PlanPricer::Predict(
+    const std::vector<JobConfig>& configs, CostInstrumentation* stats) const {
+  std::vector<PredictedDataset> datasets = datasets_;
+  WorkflowDataflow flow;
+  flow.jobs.reserve(jobs_.size());
+  std::vector<JobTaskTimes> times(jobs_.size());
+  // Counts this pass once it reached any job, even when a later job fails.
+  auto count_pass = [&] {
+    if (stats != nullptr && !flow.jobs.empty()) ++stats->full_predictions;
+  };
+  for (size_t k = 0; k < jobs_.size(); ++k) {
+    const Job& job = jobs_[k];
+    if (!job.varying) {
+      times[k] = job.times;
+      flow.jobs.push_back(job.dataflow);
+      continue;
+    }
+    const JobConfig& config =
+        job.tuned_slot >= 0 ? configs[static_cast<size_t>(job.tuned_slot)]
+                            : job.vertex->config;
+    auto df = PredictJob(job, config, &datasets);
+    if (!df.ok()) {
+      count_pass();
+      return df.status();
+    }
+    if (stats != nullptr) ++stats->job_predictions;
+    times[k] = model_->TaskTimes(*df, config);
+    flow.jobs.push_back(std::move(*df));
+  }
+  count_pass();
+  STUBBY_ASSIGN_OR_RETURN(JobSchedule sched,
+                          SimulateSchedule(schedule_, times, model_->cluster()));
+  flow.makespan_sec = sched.makespan_sec;
+  for (size_t k : by_id_) {
+    flow.job_finish_sec.emplace_hint(flow.job_finish_sec.end(),
+                                     jobs_[k].vertex->id, sched.finish_sec[k]);
+  }
+  return flow;
+}
+
+CostKey PlanPricer::MemoKey(const std::vector<JobConfig>& configs) const {
+  std::vector<CostKey> keys = job_keys_;
+  for (size_t t = 0; t < tuned_index_.size(); ++t) {
+    CostDigest d(tuned_structure_[t]);
+    MixJobConfiguration(&d, *jobs_[tuned_index_[t]].vertex, configs[t]);
+    keys[tuned_key_pos_[t]] = d.value();
+  }
+  return PlanCostDigestFrom(*plan_, keys);
+}
+
+Result<PlanPricer> WhatIfEngine::Compile(
+    const Plan& plan, const std::vector<std::string>& tuned) const {
+  return CompileImpl(plan, tuned, /*whole_plan=*/false);
+}
+
+Result<PlanPricer> WhatIfEngine::CompileImpl(
+    const Plan& plan, const std::vector<std::string>& tuned,
+    bool whole_plan) const {
+  PlanPricer pricer(model_);
+  pricer.plan_ = &plan;
+
+  // One table slot per dataset id; `present` marks the slots a prediction
+  // has written so far in topological order — base inputs first.
+  std::map<std::string, int> slot_of;
+  std::vector<bool> present;
+  auto slot = [&](const std::string& id) {
+    auto [it, added] = slot_of.emplace(id, static_cast<int>(slot_of.size()));
+    if (added) {
+      pricer.datasets_.emplace_back();
+      present.push_back(false);
+    }
+    return it->second;
+  };
+  auto read_slot = [&](const std::string& id) {
+    int i = slot(id);
+    return present[static_cast<size_t>(i)] ? i : -1;
+  };
+
   // Seed predictions from base dataset annotations.
-  std::map<std::string, PredictedDataset> predicted;
   for (const auto& [id, ds] : plan.datasets()) {
     if (!ds.is_base_input) continue;
     const DatasetAnnotation& a = ds.annotation;
@@ -485,83 +602,188 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
                                         (layout->block_mb * kMB))));
     }
     p.max_partition_fraction = 1.0 / std::max(1, p.partitions);
-    predicted[id] = p;
+    const int i = slot(id);
+    pricer.datasets_[static_cast<size_t>(i)] = p;
+    present[static_cast<size_t>(i)] = true;
   }
 
   STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
                           plan.TopologicalOrder());
-  WorkflowDataflow flow;
-  std::vector<ScheduledJob> scheduled;
-  // Counts this pass once any job was predicted, even when a later job
-  // fails.
-  auto count_pass = [&] {
-    if (stats_ != nullptr && !scheduled.empty()) ++stats_->full_predictions;
-  };
-  for (const auto& jid : order) {
-    auto job_or = plan.GetJob(jid);
-    if (!job_or.ok()) {
-      count_pass();
-      return job_or.status();
+  const size_t n = order.size();
+  std::map<std::string, size_t> topo_of;
+  for (size_t k = 0; k < n; ++k) topo_of.emplace(order[k], k);
+
+  pricer.jobs_.resize(n);
+  pricer.tuned_index_.reserve(tuned.size());
+  for (size_t t = 0; t < tuned.size(); ++t) {
+    auto it = topo_of.find(tuned[t]);
+    if (it == topo_of.end()) {
+      return Status::InvalidArgument("tuned job '" + tuned[t] +
+                                     "' is not in the plan");
     }
-    const JobVertex* job = *job_or;
-    auto df_or = PredictJob(plan, *job, &predicted);
-    if (!df_or.ok()) {
-      count_pass();
-      return df_or.status();
+    PlanPricer::Job& job = pricer.jobs_[it->second];
+    if (job.tuned_slot >= 0) {
+      return Status::InvalidArgument("tuned job '" + tuned[t] +
+                                     "' is listed twice");
     }
-    if (stats_ != nullptr) ++stats_->job_predictions;
-    ScheduledJob sj;
-    sj.id = jid;
-    sj.deps = plan.UpstreamJobs(jid);
-    sj.times = model_.TaskTimes(*df_or, job->config);
-    scheduled.push_back(std::move(sj));
-    flow.jobs.push_back(std::move(*df_or));
+    job.tuned_slot = static_cast<int>(t);
+    pricer.tuned_index_.push_back(it->second);
   }
-  count_pass();
-  STUBBY_ASSIGN_OR_RETURN(ScheduleResult sched,
-                          SimulateCluster(scheduled, model_.cluster()));
-  flow.makespan_sec = sched.makespan_sec;
-  flow.job_finish_sec = std::move(sched.job_finish_sec);
-  return flow;
+
+  // Job-id order gives the scheduler's tie-break ranks; a dataset's
+  // producer is the first job in that order writing it (Plan::ProducerOf).
+  std::vector<size_t> rank(n);
+  std::vector<int> producer;
+  for (const auto& [jid, vertex] : plan.jobs()) {
+    const size_t k = topo_of.at(jid);
+    rank[k] = pricer.by_id_.size();
+    pricer.by_id_.push_back(k);
+    pricer.jobs_[k].vertex = &vertex;
+    for (const std::string& out : vertex.OutputDatasets()) {
+      const size_t i = static_cast<size_t>(slot(out));
+      if (producer.size() <= i) producer.resize(i + 1, -1);
+      if (producer[i] < 0) producer[i] = static_cast<int>(k);
+    }
+  }
+
+  std::vector<std::vector<size_t>> deps(n);
+  for (size_t k = 0; k < n; ++k) {
+    PlanPricer::Job& job = pricer.jobs_[k];
+    const JobVertex& vertex = *job.vertex;
+    // Upstream jobs, as Plan::UpstreamJobs lists them.
+    for (const std::string& in : vertex.InputDatasets()) {
+      const size_t i = static_cast<size_t>(slot(in));
+      const int p = i < producer.size() ? producer[i] : -1;
+      if (p >= 0 && std::find(deps[k].begin(), deps[k].end(),
+                              static_cast<size_t>(p)) == deps[k].end()) {
+        deps[k].push_back(static_cast<size_t>(p));
+      }
+    }
+    job.varying = whole_plan || job.tuned_slot >= 0;
+    for (size_t u : deps[k]) job.varying = job.varying || pricer.jobs_[u].varying;
+
+    // Reads resolve against what earlier jobs wrote; then this job's
+    // writes become readable.
+    job.groups = GroupBranchInputs(vertex);
+    for (const InputGroup& g : job.groups) {
+      job.group_ds.push_back(read_slot(g.dataset_id));
+    }
+    job.branches.resize(vertex.branches.size());
+    for (size_t bi = 0; bi < vertex.branches.size(); ++bi) {
+      const Branch& b = vertex.branches[bi];
+      PlanPricer::Job::BranchSlots& slots = job.branches[bi];
+      for (const BranchInput& input : b.inputs) {
+        slots.input_ds.push_back(read_slot(input.dataset_id));
+      }
+    }
+    std::vector<int> writes;
+    auto tee_slot = [&](const Stage& s) {
+      if (s.tee_dataset.empty()) return -1;
+      writes.push_back(slot(s.tee_dataset));
+      return writes.back();
+    };
+    for (size_t bi = 0; bi < vertex.branches.size(); ++bi) {
+      const Branch& b = vertex.branches[bi];
+      PlanPricer::Job::BranchSlots& slots = job.branches[bi];
+      for (const BranchInput& input : b.inputs) {
+        std::vector<int>& tees = slots.input_tees.emplace_back();
+        for (const Stage& s : input.map_stages) tees.push_back(tee_slot(s));
+      }
+      for (const Stage& s : b.merged_map_stages) {
+        slots.merged_tees.push_back(tee_slot(s));
+      }
+      for (const Stage& s : b.reduce_stages) {
+        slots.reduce_tees.push_back(tee_slot(s));
+      }
+      slots.output_ds = slot(b.output_dataset);
+      writes.push_back(slots.output_ds);
+    }
+    for (int i : writes) present[static_cast<size_t>(i)] = true;
+
+    // A pinned R fixes every branch's reduce distribution.
+    const std::optional<int> pinned = vertex.PinnedReduceTasks();
+    if (pinned && !vertex.map_only()) {
+      job.pinned_dists.resize(vertex.branches.size());
+      for (size_t bi = 0; bi < vertex.branches.size(); ++bi) {
+        const Branch& b = vertex.branches[bi];
+        if (b.map_only()) continue;
+        job.pinned_dists[bi] =
+            EstimateReduceDistribution(b, std::max(1, *pinned));
+      }
+    }
+
+    if (job.varying) continue;
+    STUBBY_ASSIGN_OR_RETURN(job.dataflow, pricer.PredictJob(job, vertex.config,
+                                                            &pricer.datasets_));
+    if (stats_ != nullptr) ++stats_->job_predictions;
+    job.times = model_.TaskTimes(job.dataflow, vertex.config);
+  }
+  pricer.schedule_ = MakeScheduleGraph(deps, std::move(rank));
+
+  if (!whole_plan) {
+    pricer.job_keys_.reserve(n);
+    pricer.tuned_structure_.resize(tuned.size());
+    pricer.tuned_key_pos_.resize(tuned.size());
+    for (const auto& [jid, vertex] : plan.jobs()) {
+      const PlanPricer::Job& job = pricer.jobs_[topo_of.at(jid)];
+      if (job.tuned_slot >= 0) {
+        const size_t t = static_cast<size_t>(job.tuned_slot);
+        pricer.tuned_structure_[t] = JobStructureDigest(vertex).value();
+        pricer.tuned_key_pos_[t] = pricer.job_keys_.size();
+        pricer.job_keys_.emplace_back();
+      } else {
+        pricer.job_keys_.push_back(JobContentDigest(vertex).value());
+      }
+    }
+  }
+  return pricer;
 }
 
-CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
-  return CostImpl(plan, nullptr);
+Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
+    const Plan& plan) const {
+  STUBBY_ASSIGN_OR_RETURN(PlanPricer pricer,
+                          CompileImpl(plan, {}, /*whole_plan=*/true));
+  return pricer.Predict({}, stats_);
 }
 
-CostEstimate WhatIfEngine::CostWithDigests(
-    const Plan& plan,
-    const std::map<std::string, CostDigest>& job_digests) const {
-  return CostImpl(plan, &job_digests);
-}
-
-CostEstimate WhatIfEngine::CostImpl(
-    const Plan& plan,
-    const std::map<std::string, CostDigest>* job_digests) const {
+template <typename KeyFn, typename PredictFn>
+CostEstimate WhatIfEngine::Memoized(const KeyFn& key, const PredictFn& predict,
+                                    size_t num_jobs) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
-  CostKey key{};
+  CostKey memo_key{};
   if (cache_ != nullptr) {
-    key = job_digests != nullptr ? PlanCostDigestFrom(plan, *job_digests)
-                                 : PlanCostDigest(plan);
-    if (const CostEstimate* hit = cache_->FindPlan(key)) {
+    memo_key = key();
+    if (const CostEstimate* hit = cache_->FindPlan(memo_key)) {
       if (stats_ != nullptr) ++stats_->plan_cache_hits;
       return *hit;
     }
     if (stats_ != nullptr) ++stats_->plan_cache_misses;
   }
   CostEstimate est;
-  auto flow = PredictDataflow(plan);
+  auto flow = predict();
   if (flow.ok()) {
     est.cost = flow->makespan_sec;
     est.fallback = false;
     est.dataflow = std::move(*flow);
   } else {
     // Fallback: the number-of-jobs cost model of YSmart [11].
-    est.cost = static_cast<double>(plan.num_jobs());
+    est.cost = static_cast<double>(num_jobs);
     est.fallback = true;
   }
-  if (cache_ != nullptr) cache_->InsertPlan(key, est);
+  if (cache_ != nullptr) cache_->InsertPlan(memo_key, est);
   return est;
+}
+
+CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
+  return Memoized([&] { return PlanCostDigest(plan); },
+                  [&] { return PredictDataflow(plan); }, plan.num_jobs());
+}
+
+CostEstimate WhatIfEngine::Cost(const PlanPricer& pricer,
+                                const std::vector<JobConfig>& configs) const {
+  return Memoized([&] { return pricer.MemoKey(configs); },
+                  [&] { return pricer.Predict(configs, stats_); },
+                  pricer.plan_->num_jobs());
 }
 
 bool WhatIfEngine::IsCostable(const Plan& plan) const {

@@ -4,17 +4,22 @@
 
 namespace stubby {
 
+JobConfig EffectiveConfig(const JobVertex& job, const JobConfig& config) {
+  JobConfig c = config;
+  if (job.conditions.num_reduce_fixed) {
+    c.num_reduce_tasks = *job.conditions.num_reduce_fixed;
+  }
+  bool has_combiner =
+      std::any_of(job.branches.begin(), job.branches.end(),
+                  [](const Branch& b) { return b.combiner != nullptr; });
+  if (!has_combiner) c.use_combiner = false;
+  return c;
+}
+
 Status ApplyConfiguration(Plan* plan, const std::string& job_id,
                           const JobConfig& config) {
   STUBBY_ASSIGN_OR_RETURN(JobVertex * job, plan->GetMutableJob(job_id));
-  JobConfig c = config;
-  if (job->conditions.num_reduce_fixed) {
-    c.num_reduce_tasks = *job->conditions.num_reduce_fixed;
-  }
-  bool has_combiner = std::any_of(
-      job->branches.begin(), job->branches.end(),
-      [](const Branch& b) { return b.combiner != nullptr; });
-  if (!has_combiner) c.use_combiner = false;
+  const JobConfig c = EffectiveConfig(*job, config);
   // Output compression flows into the produced datasets' planned layouts.
   if (c.compress_output != job->config.compress_output) {
     for (const Branch& b : job->branches) {

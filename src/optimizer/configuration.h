@@ -13,8 +13,13 @@
 
 namespace stubby {
 
-/// Applies `config` to the job, respecting its conditions (a fixed
-/// reduce-task count wins over the configured one).
+/// The configuration `job` runs with when configured as `config`: a fixed
+/// reduce-task count wins over the configured one, and the combiner toggle
+/// is off when no branch has a combine function.
+JobConfig EffectiveConfig(const JobVertex& job, const JobConfig& config);
+
+/// Sets the job's configuration to EffectiveConfig(job, config) and flows
+/// its output compression into the produced datasets' planned layouts.
 Status ApplyConfiguration(Plan* plan, const std::string& job_id,
                           const JobConfig& config);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <set>
 
 #include "common/logging.h"
@@ -225,62 +224,52 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
 
   // Joint configuration space of the unit's (surviving) jobs.
   struct JobSpace {
-    std::string id;
+    const JobVertex* job;
     ConfigSpace space;
     size_t offset;
   };
   std::vector<JobSpace> spaces;
+  std::vector<std::string> tuned;
   size_t dims = 0;
   for (const auto& jid : unit_jobs) {
     auto jr = plan.GetJob(jid);
     if (!jr.ok()) continue;
     ConfigSpace space = SpaceForJob(**jr, plan.cluster());
     if (space.size() == 0) continue;
-    spaces.push_back(JobSpace{jid, std::move(space), dims});
+    spaces.push_back(JobSpace{*jr, std::move(space), dims});
+    tuned.push_back(jid);
     dims += spaces.back().space.size();
   }
   if (dims == 0) return ConfiguredPlan{plan, base.cost, base.fallback};
 
-  auto apply_point_to = [&](Plan* candidate,
-                            const std::vector<double>& point) -> Status {
+  // The effective configuration of each tuned job at `point`. Dimensions a
+  // job's space leaves out keep the job's own settings.
+  auto configs_at = [&](const std::vector<double>& point) {
+    std::vector<JobConfig> configs;
+    configs.reserve(spaces.size());
     for (const JobSpace& js : spaces) {
       std::vector<double> slice(
           point.begin() + static_cast<long>(js.offset),
           point.begin() + static_cast<long>(js.offset + js.space.size()));
-      STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, candidate->GetJob(js.id));
-      JobConfig config = js.space.PointToConfig(slice, job->config);
-      STUBBY_RETURN_NOT_OK(ApplyConfiguration(candidate, js.id, config));
+      configs.push_back(EffectiveConfig(
+          *js.job, js.space.PointToConfig(slice, js.job->config)));
     }
-    return Status::OK();
+    return configs;
   };
 
-  // With a cache attached, only the unit jobs' digests change between
-  // points, and within each such job only the configuration suffix does:
-  // digest the base subplan once, precompute the unit jobs' structural
-  // prefixes, and refresh just the configuration mix per point.
-  const bool incremental_digests = engine->cache() != nullptr;
-  std::map<std::string, CostDigest> digests;
-  std::vector<CostDigest> structure;
-  if (incremental_digests) {
-    digests = JobContentDigests(plan);
-    structure.reserve(spaces.size());
-    for (const JobSpace& js : spaces) {
-      auto jr = plan.GetJob(js.id);
-      structure.push_back(jr.ok() ? JobStructureDigest(**jr) : CostDigest{});
-    }
-  }
+  // Every point prices through one pricer compiled for this subplan: it
+  // fixes the graph walk and predicts the jobs no tuned job reaches once,
+  // and each point re-predicts only the tuned jobs and their downstream
+  // jobs, without copying or mutating the plan.
+  STUBBY_ASSIGN_OR_RETURN(PlanPricer pricer, engine->Compile(plan, tuned));
 
   // Batch evaluator for the RRS rounds. Points are split into fixed-size
   // blocks — the block size is a constant, never derived from the thread
   // count, because block boundaries decide which memo entries each point
   // can see and therefore shape the instrumentation counters. Each block
-  // is an independent task with its own scratch plan, digest map, overlay
-  // over the engine's store, and instrumentation delta; blocks merge
-  // serially in block order. RRS points differ only in the unit jobs'
-  // configurations, and ApplyConfiguration overwrites those
-  // deterministically (uncontrolled fields pass through PointToConfig
-  // unchanged), so a per-block scratch copy evaluates each point exactly
-  // as a per-point fresh copy would.
+  // is an independent task with its own overlay over the engine's store
+  // and its own instrumentation delta; blocks share the read-only pricer
+  // and merge serially in block order.
   constexpr size_t kBlock = 4;
   CostStore* parent_cache = engine->cache();
   CostInstrumentation* parent_stats = engine->instrumentation();
@@ -299,28 +288,11 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
       if (parent_stats != nullptr) {
         block_engine.set_instrumentation(&deltas[b]);
       }
-      Plan scratch = plan;
-      std::map<std::string, CostDigest> block_digests = digests;
       const size_t begin = b * kBlock;
       const size_t end = std::min(points.size(), begin + kBlock);
       for (size_t p = begin; p < end; ++p) {
         if (parent_stats != nullptr) ++deltas[b].rrs_evaluations;
-        if (!apply_point_to(&scratch, points[p]).ok()) {
-          values[p] = std::numeric_limits<double>::infinity();
-          continue;
-        }
-        if (!incremental_digests) {
-          values[p] = block_engine.Cost(scratch).cost;
-          continue;
-        }
-        for (size_t i = 0; i < spaces.size(); ++i) {
-          auto jr = scratch.GetJob(spaces[i].id);
-          if (!jr.ok()) continue;
-          CostDigest jd = structure[i];
-          MixJobConfiguration(&jd, **jr);
-          block_digests[spaces[i].id] = jd;
-        }
-        values[p] = block_engine.CostWithDigests(scratch, block_digests).cost;
+        values[p] = block_engine.Cost(pricer, configs_at(points[p])).cost;
       }
     });
     for (size_t b = 0; b < blocks; ++b) {
@@ -334,10 +306,9 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   std::vector<double> current_seed;
   std::vector<double> thumb_seed;
   for (const JobSpace& js : spaces) {
-    auto jr = plan.GetJob(js.id);
-    std::vector<double> cur = js.space.ConfigToPoint((*jr)->config);
-    std::vector<double> thumb =
-        js.space.ConfigToPoint(RuleOfThumbConfig(**jr, plan.cluster(), &plan));
+    std::vector<double> cur = js.space.ConfigToPoint(js.job->config);
+    std::vector<double> thumb = js.space.ConfigToPoint(
+        RuleOfThumbConfig(*js.job, plan.cluster(), &plan));
     current_seed.insert(current_seed.end(), cur.begin(), cur.end());
     thumb_seed.insert(thumb_seed.end(), thumb.begin(), thumb.end());
   }
@@ -349,7 +320,11 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
     return ConfiguredPlan{plan, base.cost, base.fallback};
   }
   Plan best_plan = plan;
-  STUBBY_RETURN_NOT_OK(apply_point_to(&best_plan, best_point));
+  const std::vector<JobConfig> best_configs = configs_at(best_point);
+  for (size_t i = 0; i < spaces.size(); ++i) {
+    STUBBY_RETURN_NOT_OK(
+        ApplyConfiguration(&best_plan, tuned[i], best_configs[i]));
+  }
   // base was costable (no fallback), and configuration changes never remove
   // the annotations that made it so.
   return ConfiguredPlan{std::move(best_plan), best_value, false};

@@ -87,9 +87,6 @@ Status PerturbProfiles(Plan* plan, const PerturbOptions& options) {
           p.k2_distinct_groups = std::max(
               1.0, p.k2_distinct_groups * FactorFor(options, "k2/" + bkey));
         }
-        p.combine_selectivity = std::clamp(
-            p.combine_selectivity * FactorFor(options, "cs/" + bkey), 1e-6,
-            1.0);
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "profiler/profiler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 
@@ -200,7 +199,7 @@ Status Profiler::ProfileJob(const Plan& plan, JobVertex* job,
     }
 
     // Job-level profile: input record size, map-output key histograms, and
-    // combine selectivity.
+    // the K2 group statistics.
     ProfileAnnotation profile;
     if (b.annotations.profile) profile = *b.annotations.profile;
     profile.key_histograms.clear();
@@ -232,35 +231,9 @@ Status Profiler::ProfileJob(const Plan& plan, JobVertex* job,
                             : static_cast<double>(top) /
                                   static_cast<double>(map_out.size());
       }
-      // Combine selectivity: measured at the granularity the executor
-      // applies it — per map task — under the job's current configuration.
-      // (Predictions for other task counts then carry realistic profiling
-      // error, as the paper's profiles do.)
+      // The what-if engine models combining from k2_distinct_groups; the
+      // profile carries only the combine function's CPU cost.
       if (b.combiner != nullptr && !map_out.empty()) {
-        double logical_bytes = 0.0;
-        for (const BranchInput& in : b.inputs) {
-          auto ds = dfs.Get(in.dataset_id);
-          if (ds.ok()) logical_bytes += (*ds)->logical_bytes();
-        }
-        int tasks = std::max(
-            1, static_cast<int>(std::ceil(
-                   logical_bytes / (job->config.split_mb * 1024.0 * 1024.0))));
-        tasks = std::min<int>(tasks, static_cast<int>(map_out.size()));
-        size_t per = (map_out.size() + tasks - 1) / tasks;
-        uint64_t combined_records = 0;
-        double cpu = 0.0;
-        for (size_t lo = 0; lo < map_out.size(); lo += per) {
-          size_t hi = std::min(map_out.size(), lo + per);
-          std::vector<Row> chunk(map_out.begin() + lo, map_out.begin() + hi);
-          std::stable_sort(chunk.begin(), chunk.end(),
-                           [&](const Row& x, const Row& y) {
-                             return CompareOnFields(x, y, group_idx) < 0;
-                           });
-          combined_records +=
-              RunCombiner(*b.combiner, chunk, group_idx, &cpu).size();
-        }
-        profile.combine_selectivity =
-            static_cast<double>(combined_records) / map_out.size();
         profile.combine_cpu_per_record = b.combiner->cpu_cost_per_record();
       }
 

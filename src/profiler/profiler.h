@@ -2,8 +2,8 @@
 // which the paper uses to generate profile annotations through dynamic
 // instrumentation of unmodified MapReduce workflows. Here it runs each job
 // of a plan over the (sample) data in the DFS, measures per-stage record/
-// byte selectivities, CPU weights, group counts, combine selectivity, and
-// key histograms, and writes them into the plan as annotations.
+// byte selectivities, CPU weights, group counts, and key histograms, and
+// writes them into the plan as annotations.
 //
 // Profiling is measurement, not magic: statistics are collected on the
 // physical sample under the plan's current configuration, so the what-if

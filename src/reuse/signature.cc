@@ -176,7 +176,7 @@ Result<CostKey> JobReuseKey(const JobVertex& job, const Plan& plan,
     if (!out_ds.ok()) return out_ds.status();
     d.Mix((*out_ds)->schema.fields());
   }
-  MixJobConfiguration(&d, job);
+  MixJobConfiguration(&d, job, job.config);
   d.Mix(plan.cluster().compress_ratio);
   return d.value();
 }

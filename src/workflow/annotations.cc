@@ -55,10 +55,22 @@ double KeyHistogram::FractionInRange(double lo, double hi) const {
   if (max == min) {
     return std::clamp(point_mass + bucket_fractions[0], 0.0, 1.0);
   }
-  const double width =
-      (max - min) / static_cast<double>(bucket_fractions.size());
+  const size_t n = bucket_fractions.size();
+  const double width = (max - min) / static_cast<double>(n);
+  // Only the buckets [lo, hi) overlaps can add a term. Their index range is
+  // widened by one bucket on each side against rounding in the division;
+  // the overlap test still decides, so the terms and their order are those
+  // of a scan over every bucket.
+  auto bucket_of = [&](double v) {
+    double i = std::floor((v - min) / width);
+    return i > 0.0 ? static_cast<size_t>(std::min(i, static_cast<double>(n)))
+                   : size_t{0};
+  };
+  const size_t lo_bucket = bucket_of(lo);
+  const size_t first = lo_bucket > 0 ? lo_bucket - 1 : 0;
+  const size_t end = std::min(n, bucket_of(hi) + 2);
   double total = point_mass;
-  for (size_t i = 0; i < bucket_fractions.size(); ++i) {
+  for (size_t i = first; i < end; ++i) {
     double b_lo = min + width * static_cast<double>(i);
     double b_hi = b_lo + width;
     double overlap = std::min(hi, b_hi) - std::max(lo, b_lo);

@@ -122,9 +122,8 @@ struct ProfileAnnotation {
   /// Histograms of map-output key fields (by field name).
   std::vector<KeyHistogram> key_histograms;
 
-  /// Selectivity of the combine function per sorted spill (records out /
-  /// records in), if the program has a combiner.
-  double combine_selectivity = 1.0;
+  /// CPU cost units per record the combine function processes, if the
+  /// program has a combiner.
   double combine_cpu_per_record = 0.3;
 
   /// Number of distinct K2 groups in the map output (drives the analytic

@@ -112,7 +112,7 @@ Result<const Branch*> JobVertex::SoleBranch() const {
   return &branches[0];
 }
 
-int JobVertex::EffectiveReduceTasks() const {
+std::optional<int> JobVertex::PinnedReduceTasks() const {
   if (map_only()) return 0;
   if (conditions.num_reduce_fixed) return *conditions.num_reduce_fixed;
   // Range partitioning with explicit split points fixes the count.
@@ -122,7 +122,11 @@ int JobVertex::EffectiveReduceTasks() const {
       return b.partition.NumRangePartitions();
     }
   }
-  return std::max(1, config.num_reduce_tasks);
+  return std::nullopt;
+}
+
+int JobVertex::EffectiveReduceTasks(const JobConfig& config) const {
+  return PinnedReduceTasks().value_or(std::max(1, config.num_reduce_tasks));
 }
 
 std::vector<int> CanonicalPrunePartitions(const std::vector<int>& prune) {

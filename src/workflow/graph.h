@@ -232,7 +232,14 @@ struct JobVertex {
 
   /// Effective number of reduce tasks after all constraints (range
   /// partitioning and conditions override the config).
-  int EffectiveReduceTasks() const;
+  int EffectiveReduceTasks() const { return EffectiveReduceTasks(config); }
+
+  /// EffectiveReduceTasks with `config` in place of the job's own.
+  int EffectiveReduceTasks(const JobConfig& config) const;
+
+  /// The reduce-task count the conditions or explicit range splits fix, if
+  /// any: then no configuration changes it (0 for map-only jobs).
+  std::optional<int> PinnedReduceTasks() const;
 };
 
 /// A dataset vertex: D = <d, l, a>.

@@ -294,7 +294,6 @@ Json AnnotationsToJson(const JobAnnotations& a) {
   if (a.profile) {
     Json p = Json::Object();
     p["avg_input_record_bytes"] = a.profile->avg_input_record_bytes;
-    p["combine_selectivity"] = a.profile->combine_selectivity;
     p["combine_cpu_per_record"] = a.profile->combine_cpu_per_record;
     p["k2_distinct_groups"] = a.profile->k2_distinct_groups;
     p["k2_max_group_fraction"] = a.profile->k2_max_group_fraction;
@@ -339,7 +338,6 @@ JobAnnotations AnnotationsFromJson(const Json& j) {
   if (const Json* p = j.Find("profile"); p != nullptr) {
     ProfileAnnotation pa;
     pa.avg_input_record_bytes = p->GetNumber("avg_input_record_bytes", 100.0);
-    pa.combine_selectivity = p->GetNumber("combine_selectivity", 1.0);
     pa.combine_cpu_per_record = p->GetNumber("combine_cpu_per_record", 0.3);
     pa.k2_distinct_groups = p->GetNumber("k2_distinct_groups");
     pa.k2_max_group_fraction = p->GetNumber("k2_max_group_fraction");

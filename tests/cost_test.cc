@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "cost/adjust.h"
 #include "cost/cost_cache.h"
 #include "cost/phase_model.h"
@@ -281,6 +284,79 @@ TEST(WhatIfTest, KeyHistogramRangeAndQuantile) {
   EXPECT_LE(h.Quantile(0.4), 10.5);
 }
 
+/// KeyHistogram::FractionInRange as a scan over every bucket — the
+/// reference the bucket-range implementation must match bit for bit.
+double FractionInRangeFullScan(const KeyHistogram& h, double lo, double hi) {
+  if (h.bucket_fractions.empty() || h.max < h.min) return 1.0;
+  double point_mass = 0.0;
+  for (const auto& [value, fraction] : h.heavy_hitters) {
+    if (value >= lo && value < hi) point_mass += fraction;
+  }
+  lo = std::max(lo, h.min);
+  hi = std::min(hi, h.max + 1e-12);
+  if (hi <= lo) return std::clamp(point_mass, 0.0, 1.0);
+  if (h.max == h.min) {
+    return std::clamp(point_mass + h.bucket_fractions[0], 0.0, 1.0);
+  }
+  const double width =
+      (h.max - h.min) / static_cast<double>(h.bucket_fractions.size());
+  double total = point_mass;
+  for (size_t i = 0; i < h.bucket_fractions.size(); ++i) {
+    double b_lo = h.min + width * static_cast<double>(i);
+    double b_hi = b_lo + width;
+    double overlap = std::min(hi, b_hi) - std::max(lo, b_lo);
+    if (overlap > 0) total += h.bucket_fractions[i] * (overlap / width);
+  }
+  return std::clamp(total, 0.0, 1.0);
+}
+
+TEST(WhatIfTest, FractionInRangeMatchesFullBucketScan) {
+  Rng rng(2024);
+  int checked = 0;
+  for (int t = 0; t < 300; ++t) {
+    KeyHistogram h;
+    h.min = static_cast<double>(rng.NextInt(-1000, 1000));
+    if (t % 3 == 1) h.min += rng.NextDouble(0, 1);
+    // Every tenth histogram has max == min; the rest span small to wide.
+    const double span = t % 10 == 0 ? 0.0
+                        : t % 2 == 0 ? static_cast<double>(rng.NextInt(1, 100))
+                                     : rng.NextDouble(1e-3, 1e6);
+    h.max = h.min + span;
+    const int buckets = static_cast<int>(rng.NextInt(1, 64));
+    for (int i = 0; i < buckets; ++i) {
+      h.bucket_fractions.push_back(rng.NextDouble(0, 2.0 / buckets));
+    }
+    const double width = span / buckets;
+    std::vector<double> bounds = {h.min, h.max, h.max + 1.0,
+                                  h.min - 1.0, h.max + 1e-12,
+                                  -1e18, 1e18};
+    for (int i = 0; i <= buckets; ++i) bounds.push_back(h.min + width * i);
+    for (int i = 0; i < 8; ++i) {
+      bounds.push_back(rng.NextDouble(h.min - 0.2 * span - 1,
+                                      h.max + 0.2 * span + 1));
+    }
+    // Heavy hitters sit on the histogram's own bounds, on bucket edges and
+    // inside buckets; each is also a range bound.
+    const int hitters = static_cast<int>(rng.NextInt(0, 3));
+    for (int i = 0; i < hitters; ++i) {
+      const double v = i == 0 ? h.min
+                       : i == 1 ? h.min + width * rng.NextInt(0, buckets)
+                                : rng.NextDouble(h.min, h.max);
+      h.heavy_hitters.emplace_back(v, rng.NextDouble(0, 0.3));
+      bounds.push_back(v);
+    }
+    for (double lo : bounds) {
+      for (double hi : bounds) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(h.FractionInRange(lo, hi)),
+                  std::bit_cast<uint64_t>(FractionInRangeFullScan(h, lo, hi)))
+            << "histogram " << t << " [" << lo << ", " << hi << ")";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000);
+}
+
 TEST(CostCacheTest, JobDigestIsContentSensitive) {
   auto f = MakeChain(4000);
   ASSERT_TRUE(f.ok());
@@ -292,8 +368,12 @@ TEST(CostCacheTest, JobDigestIsContentSensitive) {
   // configuration-suffix split recomposes to the full content digest.
   EXPECT_EQ(JobContentDigest(**jp).value(), JobContentDigest(**jp).value());
   CostDigest split = JobStructureDigest(**jp);
-  MixJobConfiguration(&split, **jp);
+  MixJobConfiguration(&split, **jp, (*jp)->config);
   EXPECT_EQ(split.value(), JobContentDigest(**jp).value());
+  // A digest resumed from a saved value mixes on identically.
+  CostDigest resumed(JobStructureDigest(**jp).value());
+  MixJobConfiguration(&resumed, **jp, (*jp)->config);
+  EXPECT_EQ(resumed.value(), split.value());
 
   const CostKey base = JobContentDigest(**jp).value();
   Plan other = plan;
@@ -311,7 +391,7 @@ TEST(CostCacheTest, JobDigestIsContentSensitive) {
   other = plan;
   JobVertex* job = *other.GetMutableJob("Jp");
   ASSERT_TRUE(job->branches[0].annotations.profile.has_value());
-  job->branches[0].annotations.profile->combine_selectivity *= 0.5;
+  job->branches[0].annotations.profile->k2_distinct_groups *= 0.5;
   EXPECT_NE(JobContentDigest(*job).value(), base);
 }
 
@@ -322,8 +402,11 @@ TEST(CostCacheTest, PlanDigestCoversBaseDatasetsAndMatchesPrecomputed) {
   const Plan& plan = f->plan();
   EXPECT_EQ(PlanCostDigest(plan), PlanCostDigest(plan));
   // Assembling the plan key from precomputed per-job digests is identical.
-  EXPECT_EQ(PlanCostDigestFrom(plan, JobContentDigests(plan)),
-            PlanCostDigest(plan));
+  std::vector<CostKey> job_keys;
+  for (const auto& [jid, job] : plan.jobs()) {
+    job_keys.push_back(JobContentDigest(job).value());
+  }
+  EXPECT_EQ(PlanCostDigestFrom(plan, job_keys), PlanCostDigest(plan));
   // Base dataset annotations feed the key (they seed the prediction).
   Plan other = plan;
   auto ds = other.GetMutableDataset("IN");

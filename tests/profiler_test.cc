@@ -1,9 +1,10 @@
 // Tests for profiler/: measured stage statistics, histograms with heavy
-// hitters, group cardinality, combine selectivity, and pruned-input reads.
+// hitters, group cardinality, predicted combining, and pruned-input reads.
 
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "cost/whatif.h"
 #include "test_workflows.h"
 
 namespace stubby {
@@ -188,18 +189,27 @@ TEST(ProfilerTest, HeavyHittersAreExtracted) {
   EXPECT_NEAR(h->FractionInRange(-1e9, 1e9), 1.0, 0.02);
 }
 
-TEST(ProfilerTest, CombineSelectivityMeasured) {
+TEST(ProfilerTest, CombiningPredictedFromDistinctGroups) {
   // Small logical size => few map tasks => many rows per task over only 10
-  // groups, so per-task combining collapses heavily.
+  // groups, so per-task combining collapses heavily. The what-if engine
+  // prices it from the profiled group count alone.
   auto f = MakeChain(4000, /*distinct_k=*/5, /*distinct_z=*/2,
                      /*logical_bytes=*/2 * testing::kGB);
   ASSERT_TRUE(f.ok());
   ProfileInPlace(&*f);
-  const auto& profile =
-      (*f->plan().GetJob("Jp"))->branches[0].annotations.profile;
+  Plan plan = f->plan();
+  JobVertex* jp = *plan.GetMutableJob("Jp");
+  const auto& profile = jp->branches[0].annotations.profile;
   ASSERT_TRUE(profile.has_value());
-  // Only 10 groups: combining collapses heavily at any task granularity.
-  EXPECT_LT(profile->combine_selectivity, 0.2);
+  EXPECT_EQ(profile->k2_distinct_groups, 10.0);
+  jp->config.use_combiner = true;
+  auto flow = WhatIfEngine(plan.cluster()).PredictDataflow(plan);
+  ASSERT_TRUE(flow.ok()) << flow.status();
+  const JobDataflow* df = flow->FindJob("Jp");
+  ASSERT_NE(df, nullptr);
+  ASSERT_GT(df->map_output_records, 0u);
+  EXPECT_LT(static_cast<double>(df->combine_output_records),
+            0.2 * static_cast<double>(df->map_output_records));
 }
 
 TEST(ProfilerTest, NoiseIsDeterministicAndBounded) {

@@ -103,6 +103,33 @@ TEST(SerializeTest, RoundTripPreservesAnnotationsAndConfigs) {
   EXPECT_EQ(*schema->k2, (FieldSet{"K", "Z"}));
 }
 
+TEST(SerializeTest, ImportIgnoresRetiredCombineSelectivityKey) {
+  // Plan JSON written before `combine_selectivity` left the profile
+  // annotation still carries the key; it must import, with the key ignored.
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  ProfileInPlace(&*f);
+  const std::string text = ExportPlan(f->plan());
+  const std::string key = "\"combine_cpu_per_record\":";
+  std::string old_text;
+  size_t inserted = 0;
+  for (size_t pos = 0;;) {
+    size_t at = text.find(key, pos);
+    old_text += text.substr(pos, at == std::string::npos ? at : at - pos);
+    if (at == std::string::npos) break;
+    old_text += "\"combine_selectivity\": 0.37, " + key;
+    pos = at + key.size();
+    ++inserted;
+  }
+  ASSERT_GT(inserted, 0u);
+
+  PlanFunctionResolver resolver(f->plan());
+  auto imported = ImportPlan(old_text, resolver);
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  EXPECT_EQ(ExportPlan(*imported), text);
+  EXPECT_EQ(text.find("combine_selectivity"), std::string::npos);
+}
+
 TEST(SerializeTest, MaterializedFromRoundTrips) {
   // Reuse-rewritten plans mark stored-dataset scans via materialized_from;
   // exported artifacts must keep the marker so re-imported plans still
