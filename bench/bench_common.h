@@ -120,8 +120,6 @@ inline Result<Plan> RunStubby(const PreparedWorkload& pw, bool vertical,
 inline Json InstrumentationJson(const CostInstrumentation& c) {
   Json j = Json::Object();
   j["whatif_invocations"] = c.whatif_invocations;
-  j["plan_cache_hits"] = c.plan_cache_hits;
-  j["plan_cache_misses"] = c.plan_cache_misses;
   j["full_predictions"] = c.full_predictions;
   j["job_predictions"] = c.job_predictions;
   j["rrs_evaluations"] = c.rrs_evaluations;

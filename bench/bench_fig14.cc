@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
     return total;
   };
 
-  // Each subplan executes against its own Dfs copy and the engine is
-  // cache-less here, so subplans are independent tasks.
+  // Each subplan executes against its own Dfs copy and the engine has no
+  // counters attached, so subplans are independent tasks.
   WorkflowRunner runner(options.cluster);
   const size_t n = subplans->size();
   std::vector<double> estimated(n), actual(n);

@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "cost/cost_cache.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
 #include "exec/workflow_runner.h"
@@ -227,41 +226,6 @@ void BM_RrsPointBR(benchmark::State& state) {
   state.counters["tuned_jobs"] = static_cast<double>(point.tuned.size());
 }
 BENCHMARK(BM_RrsPointBR)->ArgName("applied_copy")->Arg(0)->Arg(1);
-
-// Same costing loop with the memo attached: after the first iteration every
-// Cost call is a whole-plan cache hit.
-void BM_WhatIfCostIRCached(benchmark::State& state) {
-  WorkloadOptions options;
-  options.sample_rows = 5000;
-  auto w = MakeWorkload("IR", options);
-  Profiler profiler(options.cluster);
-  Dfs dfs = w->dfs;
-  STUBBY_CHECK_OK(profiler.ProfilePlan(&w->plan, &dfs));
-  WhatIfEngine whatif(options.cluster);
-  CostCache cache;
-  whatif.set_cache(&cache);
-  for (auto _ : state) {
-    CostEstimate est = whatif.Cost(w->plan);
-    benchmark::DoNotOptimize(est.cost);
-  }
-}
-BENCHMARK(BM_WhatIfCostIRCached);
-
-// Whole-plan content digest (the costing-cache key) on the profiled BR
-// workload — the per-evaluation overhead the memo adds on a miss.
-void BM_PlanCostDigest(benchmark::State& state) {
-  WorkloadOptions options;
-  options.sample_rows = 5000;
-  auto w = MakeWorkload("BR", options);
-  Profiler profiler(options.cluster);
-  Dfs dfs = w->dfs;
-  STUBBY_CHECK_OK(profiler.ProfilePlan(&w->plan, &dfs));
-  for (auto _ : state) {
-    CostKey key = PlanCostDigest(w->plan);
-    benchmark::DoNotOptimize(key.first);
-  }
-}
-BENCHMARK(BM_PlanCostDigest);
 
 void BM_PlanSignature(benchmark::State& state) {
   WorkloadOptions options;

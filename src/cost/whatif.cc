@@ -541,16 +541,6 @@ Result<WorkflowDataflow> PlanPricer::Predict(
   return flow;
 }
 
-CostKey PlanPricer::MemoKey(const std::vector<JobConfig>& configs) const {
-  std::vector<CostKey> keys = job_keys_;
-  for (size_t t = 0; t < tuned_index_.size(); ++t) {
-    CostDigest d(tuned_structure_[t]);
-    MixJobConfiguration(&d, *jobs_[tuned_index_[t]].vertex, configs[t]);
-    keys[tuned_key_pos_[t]] = d.value();
-  }
-  return PlanCostDigestFrom(*plan_, keys);
-}
-
 Result<PlanPricer> WhatIfEngine::Compile(
     const Plan& plan, const std::vector<std::string>& tuned) const {
   return CompileImpl(plan, tuned, /*whole_plan=*/false);
@@ -560,7 +550,6 @@ Result<PlanPricer> WhatIfEngine::CompileImpl(
     const Plan& plan, const std::vector<std::string>& tuned,
     bool whole_plan) const {
   PlanPricer pricer(model_);
-  pricer.plan_ = &plan;
 
   // One table slot per dataset id; `present` marks the slots a prediction
   // has written so far in topological order — base inputs first.
@@ -719,23 +708,6 @@ Result<PlanPricer> WhatIfEngine::CompileImpl(
     job.times = model_.TaskTimes(job.dataflow, vertex.config);
   }
   pricer.schedule_ = MakeScheduleGraph(deps, std::move(rank));
-
-  if (!whole_plan) {
-    pricer.job_keys_.reserve(n);
-    pricer.tuned_structure_.resize(tuned.size());
-    pricer.tuned_key_pos_.resize(tuned.size());
-    for (const auto& [jid, vertex] : plan.jobs()) {
-      const PlanPricer::Job& job = pricer.jobs_[topo_of.at(jid)];
-      if (job.tuned_slot >= 0) {
-        const size_t t = static_cast<size_t>(job.tuned_slot);
-        pricer.tuned_structure_[t] = JobStructureDigest(vertex).value();
-        pricer.tuned_key_pos_[t] = pricer.job_keys_.size();
-        pricer.job_keys_.emplace_back();
-      } else {
-        pricer.job_keys_.push_back(JobContentDigest(vertex).value());
-      }
-    }
-  }
   return pricer;
 }
 
@@ -746,21 +718,10 @@ Result<WorkflowDataflow> WhatIfEngine::PredictDataflow(
   return pricer.Predict({}, stats_);
 }
 
-template <typename KeyFn, typename PredictFn>
-CostEstimate WhatIfEngine::Memoized(const KeyFn& key, const PredictFn& predict,
+CostEstimate WhatIfEngine::Estimate(Result<WorkflowDataflow> flow,
                                     size_t num_jobs) const {
   if (stats_ != nullptr) ++stats_->whatif_invocations;
-  CostKey memo_key{};
-  if (cache_ != nullptr) {
-    memo_key = key();
-    if (const CostEstimate* hit = cache_->FindPlan(memo_key)) {
-      if (stats_ != nullptr) ++stats_->plan_cache_hits;
-      return *hit;
-    }
-    if (stats_ != nullptr) ++stats_->plan_cache_misses;
-  }
   CostEstimate est;
-  auto flow = predict();
   if (flow.ok()) {
     est.cost = flow->makespan_sec;
     est.fallback = false;
@@ -770,20 +731,16 @@ CostEstimate WhatIfEngine::Memoized(const KeyFn& key, const PredictFn& predict,
     est.cost = static_cast<double>(num_jobs);
     est.fallback = true;
   }
-  if (cache_ != nullptr) cache_->InsertPlan(memo_key, est);
   return est;
 }
 
 CostEstimate WhatIfEngine::Cost(const Plan& plan) const {
-  return Memoized([&] { return PlanCostDigest(plan); },
-                  [&] { return PredictDataflow(plan); }, plan.num_jobs());
+  return Estimate(PredictDataflow(plan), plan.num_jobs());
 }
 
 CostEstimate WhatIfEngine::Cost(const PlanPricer& pricer,
                                 const std::vector<JobConfig>& configs) const {
-  return Memoized([&] { return pricer.MemoKey(configs); },
-                  [&] { return pricer.Predict(configs, stats_); },
-                  pricer.plan_->num_jobs());
+  return Estimate(pricer.Predict(configs, stats_), pricer.jobs_.size());
 }
 
 bool WhatIfEngine::IsCostable(const Plan& plan) const {

@@ -24,8 +24,6 @@
 
 namespace stubby {
 
-class CostDigest;
-class CostStore;
 struct CostInstrumentation;
 
 /// Predicted size of a (possibly intermediate) dataset.
@@ -75,11 +73,6 @@ class PlanPricer {
   Result<WorkflowDataflow> Predict(const std::vector<JobConfig>& configs,
                                    CostInstrumentation* stats) const;
 
-  /// The whole-plan memo key of the plan with tuned job i configured as
-  /// `configs[i]`: PlanCostDigest of that plan.
-  std::pair<uint64_t, uint64_t> MemoKey(
-      const std::vector<JobConfig>& configs) const;
-
   // Defined where Job is complete.
   PlanPricer(PlanPricer&&) noexcept;
   PlanPricer& operator=(PlanPricer&&) noexcept;
@@ -96,7 +89,6 @@ class PlanPricer {
                                  std::vector<PredictedDataset>* datasets) const;
 
   const PhaseTimeModel* model_;
-  const Plan* plan_ = nullptr;
   /// Jobs in topological order.
   std::vector<Job> jobs_;
   /// Topological index of each tuned job, in the order a point lists their
@@ -108,12 +100,6 @@ class PlanPricer {
   ScheduleGraph schedule_;
   /// Topological indices in job-id order (the order of job_finish_sec).
   std::vector<size_t> by_id_;
-  /// Memo-key material: per job in plan.jobs() order, the content key of a
-  /// non-tuned job; per tuned job its structure digest and position in
-  /// that order.
-  std::vector<std::pair<uint64_t, uint64_t>> job_keys_;
-  std::vector<std::pair<uint64_t, uint64_t>> tuned_structure_;
-  std::vector<size_t> tuned_key_pos_;
 };
 
 /// Cost estimator for plans.
@@ -142,8 +128,8 @@ class WhatIfEngine {
 
   /// Prices one point: the estimate Cost() returns for the plan copy whose
   /// tuned job i is configured as `configs[i]` (an effective configuration,
-  /// as ApplyConfiguration would set it) — the same bits, memo entries and
-  /// counters, except that job_predictions counts only the varying jobs.
+  /// as ApplyConfiguration would set it) — the same bits and counters,
+  /// except that job_predictions counts only the varying jobs.
   CostEstimate Cost(const PlanPricer& pricer,
                     const std::vector<JobConfig>& configs) const;
 
@@ -151,14 +137,6 @@ class WhatIfEngine {
   bool IsCostable(const Plan& plan) const;
 
   const PhaseTimeModel& model() const { return model_; }
-
-  /// Attaches a whole-plan memo (nullptr detaches) — stubbyd's shared
-  /// CostCache, or a task-private CostCacheOverlay during parallel costing
-  /// batches. Caching is transparent: cached and uncached costing return
-  /// bit-identical estimates. The store must outlive the engine or be
-  /// detached first.
-  void set_cache(CostStore* cache) { cache_ = cache; }
-  CostStore* cache() const { return cache_; }
 
   /// Attaches a counter block updated by every Cost/PredictDataflow call
   /// (nullptr detaches). Callers that drive the engine — e.g. the unit
@@ -168,19 +146,17 @@ class WhatIfEngine {
 
  private:
   /// Compile, or with `whole_plan` the pricer PredictDataflow runs: every
-  /// job varying at its own configuration, and no memo-key material.
+  /// job varying at its own configuration.
   Result<PlanPricer> CompileImpl(const Plan& plan,
                                  const std::vector<std::string>& tuned,
                                  bool whole_plan) const;
 
-  /// The memo lookup around one prediction: `key()` names the plan,
-  /// `predict()` prices it on a miss, `num_jobs` is the fallback cost.
-  template <typename KeyFn, typename PredictFn>
-  CostEstimate Memoized(const KeyFn& key, const PredictFn& predict,
-                        size_t num_jobs) const;
+  /// Turns one prediction into an estimate: the predicted makespan, or the
+  /// job-count fallback (`num_jobs`) when the prediction failed. Counts one
+  /// what-if invocation.
+  CostEstimate Estimate(Result<WorkflowDataflow> flow, size_t num_jobs) const;
 
   PhaseTimeModel model_;
-  CostStore* cache_ = nullptr;
   CostInstrumentation* stats_ = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/threading.h"
-#include "cost/cost_cache.h"
 #include "optimizer/configuration.h"
 #include "reuse/rewriter.h"
 
@@ -102,19 +101,16 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
 
   // Cost each subplan after an RRS pass over its unit-job configurations.
   // Candidates are independent tasks: each costs through a private engine
-  // whose cache is an overlay over the shared store (frozen for the whole
-  // batch) and whose instrumentation is a private delta. Overlays and
-  // deltas merge serially in candidate order afterwards. The protocol is
-  // the same at every thread count, so costs, chosen plans, and counters
-  // never depend on how many threads ran the tasks.
+  // whose instrumentation is a private delta, and the deltas add up in
+  // candidate order afterwards. A task's only outputs are its own slots,
+  // so costs, chosen plans, and counters never depend on how many threads
+  // ran the tasks.
   const size_t n = subplans.size();
   std::vector<std::vector<std::string>> scopes(n);
   for (size_t i = 0; i < n; ++i) {
     scopes[i] = MappedUnitJobs(original_jobs, subplans[i].renames);
   }
-  CostStore* shared_cache = whatif_->cache();
   CostInstrumentation* shared_stats = whatif_->instrumentation();
-  std::vector<std::unique_ptr<CostCacheOverlay>> overlays(n);
   std::vector<CostInstrumentation> deltas(n);
   std::vector<Result<ConfiguredPlan>> configured(
       n, Result<ConfiguredPlan>(Status::Internal("candidate not costed")));
@@ -123,9 +119,8 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
   // configurations that actually executed, so probing before the RRS pass
   // would systematically miss tuned jobs. Probes are read-only
   // (PlanForScope never touches hit counts, recency, or pins), and a
-  // rewritten form is re-priced through the same per-candidate overlay
-  // engine, so the whole path follows the existing merge-in-order
-  // determinism protocol unchanged.
+  // rewritten form is re-priced through the same candidate-private engine,
+  // so the reuse path, too, writes only the candidate's own slots.
   struct ReuseOutcome {
     ReuseStats probe;  ///< this candidate's probe/priced counters
     ReuseStats hits;   ///< the rewrite's hit counters (when it won)
@@ -136,10 +131,6 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
   ReuseRewriter rewriter(reuse_.store, reuse_.dfs);
   RunTasks(pool_, n, [&](size_t i) {
     WhatIfEngine engine(whatif_->model().cluster());
-    if (shared_cache != nullptr) {
-      overlays[i] = std::make_unique<CostCacheOverlay>(shared_cache);
-      engine.set_cache(overlays[i].get());
-    }
     if (shared_stats != nullptr) engine.set_instrumentation(&deltas[i]);
     configured[i] =
         OptimizeConfigurations(&engine, subplans[i].plan, scopes[i]);
@@ -180,7 +171,6 @@ Result<std::vector<SubplanCandidate>> UnitOptimizer::EnumerateSubplans(
   });
   Status first_error = Status::OK();
   for (size_t i = 0; i < n; ++i) {
-    if (shared_cache != nullptr) overlays[i]->MergeInto(shared_cache);
     if (shared_stats != nullptr) shared_stats->Add(deltas[i]);
     if (search_totals != nullptr) search_totals->Add(reuse_outcomes[i].probe);
     if (first_error.ok() && !configured[i].ok()) {
@@ -264,27 +254,19 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
   STUBBY_ASSIGN_OR_RETURN(PlanPricer pricer, engine->Compile(plan, tuned));
 
   // Batch evaluator for the RRS rounds. Points are split into fixed-size
-  // blocks — the block size is a constant, never derived from the thread
-  // count, because block boundaries decide which memo entries each point
-  // can see and therefore shape the instrumentation counters. Each block
-  // is an independent task with its own overlay over the engine's store
-  // and its own instrumentation delta; blocks share the read-only pricer
-  // and merge serially in block order.
+  // blocks of kBlock points; a block is only the granularity of one task,
+  // and its boundaries shape no counter. Each block prices through its own
+  // engine into its own instrumentation delta; blocks share the read-only
+  // pricer, and the deltas add up in block order.
   constexpr size_t kBlock = 4;
-  CostStore* parent_cache = engine->cache();
   CostInstrumentation* parent_stats = engine->instrumentation();
   auto batch_eval =
       [&](const std::vector<std::vector<double>>& points) -> std::vector<double> {
     const size_t blocks = (points.size() + kBlock - 1) / kBlock;
-    std::vector<std::unique_ptr<CostCacheOverlay>> overlays(blocks);
     std::vector<CostInstrumentation> deltas(blocks);
     std::vector<double> values(points.size());
     RunTasks(pool_, blocks, [&](size_t b) {
       WhatIfEngine block_engine(engine->model().cluster());
-      if (parent_cache != nullptr) {
-        overlays[b] = std::make_unique<CostCacheOverlay>(parent_cache);
-        block_engine.set_cache(overlays[b].get());
-      }
       if (parent_stats != nullptr) {
         block_engine.set_instrumentation(&deltas[b]);
       }
@@ -295,9 +277,8 @@ Result<UnitOptimizer::ConfiguredPlan> UnitOptimizer::OptimizeConfigurations(
         values[p] = block_engine.Cost(pricer, configs_at(points[p])).cost;
       }
     });
-    for (size_t b = 0; b < blocks; ++b) {
-      if (parent_cache != nullptr) overlays[b]->MergeInto(parent_cache);
-      if (parent_stats != nullptr) parent_stats->Add(deltas[b]);
+    if (parent_stats != nullptr) {
+      for (const CostInstrumentation& delta : deltas) parent_stats->Add(delta);
     }
     return values;
   };

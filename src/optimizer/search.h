@@ -93,13 +93,12 @@ struct SubplanCandidate {
 /// Enumerates and costs a unit's subplan space.
 ///
 /// With a pool, subplan candidates are costed as parallel tasks, and each
-/// RRS round's points in parallel blocks. Every task works against a
-/// private engine whose cache is a CostCacheOverlay over the (frozen)
-/// shared store and whose instrumentation is a private delta; overlays and
-/// deltas merge serially in task order once the batch completes. The same
-/// protocol runs at every thread count — including one — so plans, costs,
-/// RRS trajectories, and instrumentation counters are bit-identical no
-/// matter how many threads execute the tasks.
+/// RRS round's points in parallel blocks. Every task prices through a
+/// private engine and writes only its own outputs: its estimates and a
+/// private instrumentation delta, which add up in task order once the
+/// batch completes. No task reads what another wrote, so plans, costs, RRS
+/// trajectories, and instrumentation counters are bit-identical no matter
+/// how many threads execute the tasks.
 class UnitOptimizer {
  public:
   UnitOptimizer(std::vector<std::shared_ptr<Transformation>> transforms,
@@ -137,8 +136,7 @@ class UnitOptimizer {
   /// RRS over the configurations of the unit's jobs in `plan`; returns the
   /// plan with the best configurations applied, its cost, and whether that
   /// cost came from the fallback model. `engine` is the candidate-private
-  /// engine to cost through (its cache/instrumentation may themselves be a
-  /// task overlay and delta).
+  /// engine to cost through (its instrumentation may be a task delta).
   Result<ConfiguredPlan> OptimizeConfigurations(
       const WhatIfEngine* engine, const Plan& plan,
       const std::vector<std::string>& unit_jobs) const;

@@ -121,9 +121,6 @@ Result<OptimizeReport> StubbyOptimizer::Optimize(const Plan& plan) const {
       return report;
     }
   }
-  // A borrowed whole-plan memo (stubbyd's shared cache) serves every phase
-  // and unit; without one the run prices every plan afresh.
-  whatif.set_cache(options_.cost_cache);
   // Search tasks produce bit-identical results at any thread count, so the
   // pool is a pure wall-time knob.
   ThreadPool* pool = options_.pool;

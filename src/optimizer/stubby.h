@@ -41,13 +41,6 @@ struct StubbyOptions {
 
   /// No effect; perfbench/ prints it. Delete with the next perfbench/ change.
   bool enable_cost_cache = true;
-  /// Borrowed whole-plan costing memo (Section 6's cost reuse): when set,
-  /// the what-if engine memoizes estimates through it, so many Optimize
-  /// calls share one long-lived cache (stubbyd hands each request a
-  /// CostCacheOverlay over the shared service cache). Null prices every
-  /// plan afresh. Transparent — plans and costs are bit-identical with any
-  /// contents — so it stays out of the option salt.
-  CostStore* cost_cache = nullptr;
 
   /// Task parallelism for the in-unit search: subplan candidates and RRS
   /// point blocks run as tasks on this borrowed pool (it must outlive the
@@ -117,8 +110,8 @@ struct StubbyOptions {
 
 /// Digest of the options that shape what an optimized plan computes —
 /// transform toggles, phase order, and the unit-search/RRS settings (seed
-/// included). Excludes pure wall-time knobs (pool, cost cache) and
-/// the reuse fields themselves. Workflow-terminal store entries are keyed
+/// included). Excludes pure wall-time knobs (the pool) and the reuse
+/// fields themselves. Workflow-terminal store entries are keyed
 /// under this salt: stored bits match a recompute only under equal options.
 CostKey ReuseSaltFromOptions(const StubbyOptions& options);
 
@@ -139,8 +132,8 @@ struct OptimizeReport {
   int units_processed = 0;
   int subplans_enumerated = 0;
   std::vector<std::string> applied;  ///< transformation log
-  /// Costing-layer counters for the whole run (what-if calls, memo
-  /// hits/misses, dataflow predictions, RRS evaluations).
+  /// Costing-layer counters for the whole run (what-if calls, dataflow
+  /// predictions, RRS evaluations).
   CostInstrumentation costing;
   std::vector<PhaseReport> phases;
 

@@ -21,6 +21,20 @@ void MixKey(CostDigest* d, const CostKey& k) {
   d->Mix(k.second);
 }
 
+/// Mixes the job's full configuration and its effective reduce-task count
+/// (which folds in conditions and range-partition overrides).
+void MixJobConfiguration(CostDigest* d, const JobVertex& job) {
+  const JobConfig& c = job.config;
+  d->Mix(static_cast<uint64_t>(c.num_reduce_tasks));
+  d->Mix(c.io_sort_mb);
+  d->Mix(static_cast<uint64_t>(c.io_sort_factor));
+  d->Mix(c.use_combiner);
+  d->Mix(c.compress_map_output);
+  d->Mix(c.compress_output);
+  d->Mix(c.split_mb);
+  d->Mix(static_cast<uint64_t>(job.EffectiveReduceTasks(c)));
+}
+
 void MixLayout(CostDigest* d, const Layout& layout) {
   d->Mix(layout.partitioning.has_value());
   if (layout.partitioning) MixPartitionSpecDigest(d, *layout.partitioning);
@@ -176,7 +190,7 @@ Result<CostKey> JobReuseKey(const JobVertex& job, const Plan& plan,
     if (!out_ds.ok()) return out_ds.status();
     d.Mix((*out_ds)->schema.fields());
   }
-  MixJobConfiguration(&d, job, job.config);
+  MixJobConfiguration(&d, job);
   d.Mix(plan.cluster().compress_ratio);
   return d.value();
 }

@@ -43,10 +43,7 @@ std::string ServiceStats::ToString() const {
 }
 
 StubbyService::StubbyService(ServiceOptions options, ThreadPool* pool)
-    : options_(std::move(options)),
-      pool_(pool),
-      store_(options_.store),
-      cost_cache_(options_.cost_cache) {
+    : options_(std::move(options)), pool_(pool), store_(options_.store) {
   if (options_.wave_size == 0) options_.wave_size = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 }
@@ -107,14 +104,12 @@ void StubbyService::Speculate(const Pending& pending, Speculation* spec) {
   // re-validated at commit time, where the authoritative bytes may have
   // moved — a divergence forces the sequential rerun path.
   spec->level = LevelFor(store_.stored_bytes());
-  spec->overlay = std::make_unique<CostCacheOverlay>(&cost_cache_);
   StubbyOptions options = pending.submission.options;
-  // The service owns the reuse and costing wiring; whatever the submitter
-  // put in these borrowed-pointer fields must not leak into the run.
+  // The service owns the reuse and pool wiring; whatever the submitter put
+  // in these borrowed-pointer fields must not leak into the run.
   options.reuse_store = nullptr;
   options.reuse_dfs = nullptr;
   options.pool = nullptr;
-  options.cost_cache = spec->overlay.get();
   if (options_.reoptimize) options.reoptimize = true;
   const Plan& plan = *pending.submission.plan;
   const Dfs& dfs = *pending.submission.dfs;
@@ -222,21 +217,18 @@ RequestResult StubbyService::Commit(const Pending& pending,
     out.status = spec->status;
     out.session = std::move(spec->result);
     out.degrade = spec->level;
-    if (spec->overlay != nullptr) spec->overlay->MergeInto(&cost_cache_);
   } else {
     // An earlier commit of this drain changed what the speculation
-    // observed: discard it (journal, overlay and all) and run the request
+    // observed: discard it (journal and all) and run the request
     // for real against the authoritative store — the exact sequential
     // semantics, with the pool available for intra-request parallelism.
     ++stats_.conflicts;
     out.reran = true;
     out.degrade = level_now;
-    CostCacheOverlay overlay(&cost_cache_);
     StubbyOptions options = pending.submission.options;
     options.reuse_store = nullptr;
     options.reuse_dfs = nullptr;
     options.pool = nullptr;
-    options.cost_cache = &overlay;
     if (options_.reoptimize) options.reoptimize = true;
     const Plan& plan = *pending.submission.plan;
     const Dfs& dfs = *pending.submission.dfs;
@@ -259,7 +251,6 @@ RequestResult StubbyService::Commit(const Pending& pending,
     for (uint64_t n = before; n < store_.next_snapshot_id(); ++n) {
       created.insert("rs/" + std::to_string(n));
     }
-    overlay.MergeInto(&cost_cache_);
   }
 
   Account(out.tenant, out.status, out.session, out.degrade, created);
@@ -321,7 +312,7 @@ std::vector<RequestResult> StubbyService::Drain() {
     if (wave.empty()) break;
     ++stats_.waves;
     // Phase A: speculate the whole wave in parallel against the frozen
-    // store and cost cache. Phase B: commit serially in submission order.
+    // store. Phase B: commit serially in submission order.
     std::vector<Speculation> specs(wave.size());
     RunTasks(pool_, wave.size(),
              [&](size_t i) { Speculate(wave[i], &specs[i]); });

@@ -1,10 +1,11 @@
 // stubbyd: a long-lived, multi-tenant optimizer service. Many logical
 // tenants submit annotated workflow plans into one bounded queue; the
 // service runs the full optimize -> reuse-rewrite -> execute -> register
-// loop for each against ONE shared in-memory ResultStore and ONE shared
-// CostCache, so every tenant's executions warm the catalog for everyone
-// else (ReStore's repository model, PVLDB 2012, lifted from a per-process
-// file to a daemon).
+// loop for each against ONE shared in-memory ResultStore, so every tenant's
+// executions warm the catalog for everyone else (ReStore's repository
+// model, PVLDB 2012, lifted from a per-process file to a daemon). Costing
+// shares nothing across requests: each request's optimizer prices through
+// its own plan pricers, exactly as a standalone Optimize call does.
 //
 // Isolation protocol (wave-based optimistic concurrency). Drain() takes
 // requests off the queue in waves of `wave_size` (an explicit option,
@@ -13,8 +14,7 @@
 //   Phase A — speculate (parallel). Each request of the wave runs against a
 //   private copy of the authoritative store, frozen for the wave, with a
 //   StoreJournal attached that records every Peek/Lookup/Register/Pin/
-//   Unpin in order. Costing reads go through a per-request CostCacheOverlay
-//   over the shared (frozen) CostCache.
+//   Unpin in order.
 //
 //   Phase B — commit (serial, submission order). For each request in turn,
 //   the journal is replayed against a scratch copy of the authoritative
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "cost/cost_cache.h"
 #include "optimizer/stubby.h"
 #include "reuse/result_store.h"
 #include "reuse/session.h"
@@ -77,8 +76,6 @@ struct ServiceOptions {
   size_t wave_size = 8;
   /// Shared-store construction options (global byte budget + policy).
   ResultStore::Options store;
-  /// Capacity of the shared whole-plan costing memo.
-  CostCache::Options cost_cache;
   /// Per-tenant snapshot byte budget (0 = unlimited), overridable per
   /// tenant by name. Enforced after each request commits, against the
   /// snapshots that tenant's requests created.
@@ -103,7 +100,7 @@ struct Submission {
   std::string name;  ///< caller-chosen label, echoed in the result
   std::shared_ptr<const Plan> plan;
   std::shared_ptr<const Dfs> dfs;
-  StubbyOptions options;  ///< reuse_store/reuse_dfs/cost_cache overwritten
+  StubbyOptions options;  ///< reuse_store/reuse_dfs/pool overwritten
 };
 
 /// What one submission produced.
@@ -154,7 +151,6 @@ class StubbyService {
   const ServiceStats& stats() const { return stats_; }
   const ResultStore& store() const { return store_; }
   ResultStore& store() { return store_; }
-  const CostCache& cost_cache() const { return cost_cache_; }
   size_t queue_depth() const;
 
   /// Stored bytes currently attributed to `tenant` (0 if unknown).
@@ -179,7 +175,6 @@ class StubbyService {
     StoreJournal journal;
     Status status = Status::OK();
     ReuseSessionResult result;
-    std::unique_ptr<CostCacheOverlay> overlay;
     double wall_sec = 0;
   };
 
@@ -198,7 +193,6 @@ class StubbyService {
   ServiceOptions options_;
   ThreadPool* pool_;
   ResultStore store_;
-  CostCache cost_cache_;
   ServiceStats stats_;
   /// Snapshot ids each tenant's requests created (pruned to live ids).
   std::map<std::string, std::set<std::string>> owned_;

@@ -266,6 +266,14 @@ Status Plan::Validate() const {
   }
 
   for (const auto& [jid, job] : jobs_) {
+    // A pinned count is the executor's reduce-task count, taken as is.
+    if (!job.map_only() && job.conditions.num_reduce_fixed &&
+        *job.conditions.num_reduce_fixed < 1) {
+      return Status::Internal(
+          "job '" + jid + "' pins " +
+          std::to_string(*job.conditions.num_reduce_fixed) +
+          " reduce tasks; a job with a reduce side needs at least 1");
+    }
     std::set<std::string> tags;
     for (const Branch& b : job.branches) {
       if (!tags.insert(b.tag).second) {

@@ -1,5 +1,8 @@
 #include "workflow/serialize.h"
 
+#include <cmath>
+#include <limits>
+
 namespace stubby {
 
 namespace {
@@ -351,6 +354,18 @@ JobAnnotations AnnotationsFromJson(const Json& j) {
   return a;
 }
 
+/// Reads a number that must be an integer within int's range (a cast of
+/// anything else to int is undefined or silently truncates).
+Result<int> IntFromJson(const Json& j, const std::string& field) {
+  const double d = j.is_number() ? j.AsNumber() : std::nan("");
+  if (!std::isfinite(d) || d != std::floor(d) ||
+      d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("'" + field + "' is not an integer");
+  }
+  return static_cast<int>(d);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -599,7 +614,8 @@ Result<Plan> PlanFromJson(const Json& json,
     if (const Json* cond = j.Find("conditions"); cond != nullptr) {
       job.conditions.partition_frozen = cond->GetBool("partition_frozen");
       if (const Json* n = cond->Find("num_reduce_fixed"); n != nullptr) {
-        job.conditions.num_reduce_fixed = static_cast<int>(n->AsNumber());
+        STUBBY_ASSIGN_OR_RETURN(job.conditions.num_reduce_fixed,
+                                IntFromJson(*n, "num_reduce_fixed"));
       }
       job.conditions.bloom_transfer = cond->GetBool("bloom_transfer");
     }

@@ -7,7 +7,6 @@
 #include <bit>
 
 #include "cost/adjust.h"
-#include "cost/cost_cache.h"
 #include "cost/phase_model.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
@@ -355,120 +354,6 @@ TEST(WhatIfTest, FractionInRangeMatchesFullBucketScan) {
     }
   }
   EXPECT_GT(checked, 100000);
-}
-
-TEST(CostCacheTest, JobDigestIsContentSensitive) {
-  auto f = MakeChain(4000);
-  ASSERT_TRUE(f.ok());
-  ProfileInPlace(&*f);
-  const Plan& plan = f->plan();
-  auto jp = plan.GetJob("Jp");
-  ASSERT_TRUE(jp.ok());
-  // Identical content digests identically, and the structure-prefix +
-  // configuration-suffix split recomposes to the full content digest.
-  EXPECT_EQ(JobContentDigest(**jp).value(), JobContentDigest(**jp).value());
-  CostDigest split = JobStructureDigest(**jp);
-  MixJobConfiguration(&split, **jp, (*jp)->config);
-  EXPECT_EQ(split.value(), JobContentDigest(**jp).value());
-  // A digest resumed from a saved value mixes on identically.
-  CostDigest resumed(JobStructureDigest(**jp).value());
-  MixJobConfiguration(&resumed, **jp, (*jp)->config);
-  EXPECT_EQ(resumed.value(), split.value());
-
-  const CostKey base = JobContentDigest(**jp).value();
-  Plan other = plan;
-  (*other.GetMutableJob("Jp"))->config.num_reduce_tasks += 1;
-  EXPECT_NE(JobContentDigest(**other.GetJob("Jp")).value(), base);
-
-  other = plan;
-  (*other.GetMutableJob("Jp"))->config.io_sort_mb += 16.0;
-  EXPECT_NE(JobContentDigest(**other.GetJob("Jp")).value(), base);
-
-  other = plan;
-  (*other.GetMutableJob("Jp"))->branches[0].inputs[0].prune_fraction = 0.5;
-  EXPECT_NE(JobContentDigest(**other.GetJob("Jp")).value(), base);
-
-  other = plan;
-  JobVertex* job = *other.GetMutableJob("Jp");
-  ASSERT_TRUE(job->branches[0].annotations.profile.has_value());
-  job->branches[0].annotations.profile->k2_distinct_groups *= 0.5;
-  EXPECT_NE(JobContentDigest(*job).value(), base);
-}
-
-TEST(CostCacheTest, PlanDigestCoversBaseDatasetsAndMatchesPrecomputed) {
-  auto f = MakeChain(4000);
-  ASSERT_TRUE(f.ok());
-  ProfileInPlace(&*f);
-  const Plan& plan = f->plan();
-  EXPECT_EQ(PlanCostDigest(plan), PlanCostDigest(plan));
-  // Assembling the plan key from precomputed per-job digests is identical.
-  std::vector<CostKey> job_keys;
-  for (const auto& [jid, job] : plan.jobs()) {
-    job_keys.push_back(JobContentDigest(job).value());
-  }
-  EXPECT_EQ(PlanCostDigestFrom(plan, job_keys), PlanCostDigest(plan));
-  // Base dataset annotations feed the key (they seed the prediction).
-  Plan other = plan;
-  auto ds = other.GetMutableDataset("IN");
-  ASSERT_TRUE(ds.ok());
-  ASSERT_TRUE((*ds)->annotation.bytes.has_value());
-  *(*ds)->annotation.bytes += 1;
-  EXPECT_NE(PlanCostDigest(other), PlanCostDigest(plan));
-}
-
-TEST(CostCacheTest, PlanMemoEvictsLeastRecentlyUsed) {
-  CostCache cache(CostCache::Options{.plan_capacity = 2});
-  const CostKey k1{1, 1}, k2{2, 2}, k3{3, 3};
-  CostEstimate est;
-  est.cost = 1.0;
-  cache.InsertPlan(k1, est);
-  est.cost = 2.0;
-  cache.InsertPlan(k2, est);
-  ASSERT_NE(cache.FindPlan(k1), nullptr);  // refresh: k2 becomes LRU
-  est.cost = 3.0;
-  cache.InsertPlan(k3, est);
-  EXPECT_EQ(cache.plan_entries(), 2u);
-  EXPECT_EQ(cache.plan_evictions(), 1u);
-  EXPECT_EQ(cache.FindPlan(k2), nullptr);
-  ASSERT_NE(cache.FindPlan(k1), nullptr);
-  EXPECT_DOUBLE_EQ(cache.FindPlan(k1)->cost, 1.0);
-  EXPECT_DOUBLE_EQ(cache.FindPlan(k3)->cost, 3.0);
-}
-
-TEST(CostCacheTest, CachedCostingIsBitIdentical) {
-  auto f = MakeChain(4000);
-  ASSERT_TRUE(f.ok());
-  ProfileInPlace(&*f);
-  WhatIfEngine plain(f->plan().cluster());
-  const CostEstimate reference = plain.Cost(f->plan());
-
-  WhatIfEngine cached(f->plan().cluster());
-  CostCache cache;
-  CostInstrumentation stats;
-  cached.set_cache(&cache);
-  cached.set_instrumentation(&stats);
-  const CostEstimate first = cached.Cost(f->plan());
-  const CostEstimate again = cached.Cost(f->plan());  // whole-plan memo hit
-
-  EXPECT_EQ(reference.cost, first.cost);  // exactly, not approximately
-  EXPECT_EQ(reference.fallback, first.fallback);
-  EXPECT_EQ(reference.dataflow.makespan_sec, first.dataflow.makespan_sec);
-  EXPECT_EQ(reference.dataflow.job_finish_sec, first.dataflow.job_finish_sec);
-  EXPECT_EQ(first.cost, again.cost);
-  EXPECT_EQ(first.dataflow.job_finish_sec, again.dataflow.job_finish_sec);
-  EXPECT_EQ(stats.whatif_invocations, 2u);
-  EXPECT_EQ(stats.plan_cache_misses, 1u);
-  EXPECT_EQ(stats.plan_cache_hits, 1u);
-  EXPECT_EQ(stats.full_predictions, 1u);
-
-  // Changing one job's configuration changes the key: a miss, priced
-  // exactly as without the memo.
-  Plan variant = f->plan();
-  (*variant.GetMutableJob("Jc"))->config.io_sort_mb += 16.0;
-  const CostEstimate changed = cached.Cost(variant);
-  EXPECT_EQ(changed.cost, plain.Cost(variant).cost);
-  EXPECT_EQ(stats.plan_cache_misses, 2u);
-  EXPECT_EQ(stats.full_predictions, 2u);
 }
 
 TEST(WhatIfTest, PruningShrinksPredictedInput) {

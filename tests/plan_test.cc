@@ -101,6 +101,23 @@ TEST(PlanTest, ValidateRejectsWriteToBaseInput) {
   EXPECT_FALSE(plan.Validate().ok());
 }
 
+TEST(PlanTest, ValidateRejectsReduceJobPinnedBelowOneTask) {
+  // The executor runs a reduce side on exactly the pinned count, so a
+  // count below 1 must be rejected before it reaches the executor.
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  Plan plan = f->plan();
+  auto job = plan.GetMutableJob("Jp");
+  ASSERT_TRUE(job.ok());
+  ASSERT_FALSE((*job)->map_only());
+  for (int pinned : {0, -1}) {
+    (*job)->conditions.num_reduce_fixed = pinned;
+    EXPECT_FALSE(plan.Validate().ok()) << "num_reduce_fixed=" << pinned;
+  }
+  (*job)->conditions.num_reduce_fixed = 1;
+  EXPECT_TRUE(plan.Validate().ok());
+}
+
 TEST(PlanTest, RemoveOrphanDatasetsKeepsBaseAndOutputs) {
   auto f = MakeChain();
   ASSERT_TRUE(f.ok());

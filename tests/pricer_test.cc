@@ -2,8 +2,8 @@
 // every configuration point the pricer prices must equal
 // WhatIfEngine::Cost of a plan copy with the point's configurations
 // applied — the same cost and fallback bits, the same predicted dataflow
-// (every job field and every job finish time), and, with a memo attached,
-// the same hit and miss counts.
+// (every job field and every job finish time), and the same what-if and
+// prediction-pass counts.
 
 #include <gtest/gtest.h>
 
@@ -79,56 +79,41 @@ void ExpectSameEstimate(const CostEstimate& a, const CostEstimate& b) {
 using Point = std::vector<JobConfig>;
 
 /// Prices every point of `plan` through a pricer and through applied plan
-/// copies, without a memo and with one, and expects identical results.
-/// Returns the estimates (pricer side, no memo) for further checks.
+/// copies and expects identical results. Returns the pricer's estimates
+/// for further checks.
 std::vector<CostEstimate> ExpectPricerMatchesOracle(
     const Plan& plan, const std::vector<std::string>& tuned,
     const std::vector<Point>& points) {
   std::vector<CostEstimate> out;
-  for (bool memo : {false, true}) {
-    SCOPED_TRACE(memo ? "with memo" : "no memo");
-    WhatIfEngine pricing(plan.cluster());
-    WhatIfEngine oracle(plan.cluster());
-    CostCache pricing_cache;
-    CostCache oracle_cache;
-    CostInstrumentation pricing_stats;
-    CostInstrumentation oracle_stats;
-    pricing.set_instrumentation(&pricing_stats);
-    oracle.set_instrumentation(&oracle_stats);
-    if (memo) {
-      pricing.set_cache(&pricing_cache);
-      oracle.set_cache(&oracle_cache);
-    }
-    auto pricer = pricing.Compile(plan, tuned);
-    EXPECT_TRUE(pricer.ok()) << pricer.status();
-    if (!pricer.ok()) return out;
-    // Twice over the points, so the memo pass sees hits as well as misses.
-    for (int round = 0; round < 2; ++round) {
-      for (const Point& point : points) {
-        std::vector<JobConfig> configs;
-        Plan applied = plan;
-        for (size_t i = 0; i < tuned.size(); ++i) {
-          const JobVertex& job = **plan.GetJob(tuned[i]);
-          configs.push_back(EffectiveConfig(job, point[i]));
-          EXPECT_TRUE(ApplyConfiguration(&applied, tuned[i], point[i]).ok());
-        }
-        CostEstimate priced = pricing.Cost(*pricer, configs);
-        ExpectSameEstimate(priced, oracle.Cost(applied));
-        if (!memo && round == 0) out.push_back(std::move(priced));
+  WhatIfEngine pricing(plan.cluster());
+  WhatIfEngine oracle(plan.cluster());
+  CostInstrumentation pricing_stats;
+  CostInstrumentation oracle_stats;
+  pricing.set_instrumentation(&pricing_stats);
+  oracle.set_instrumentation(&oracle_stats);
+  auto pricer = pricing.Compile(plan, tuned);
+  EXPECT_TRUE(pricer.ok()) << pricer.status();
+  if (!pricer.ok()) return out;
+  // Twice over the points: a pricer carries nothing from one point to the
+  // next, so a revisited point prices to the same bits.
+  for (int round = 0; round < 2; ++round) {
+    for (const Point& point : points) {
+      std::vector<JobConfig> configs;
+      Plan applied = plan;
+      for (size_t i = 0; i < tuned.size(); ++i) {
+        const JobVertex& job = **plan.GetJob(tuned[i]);
+        configs.push_back(EffectiveConfig(job, point[i]));
+        EXPECT_TRUE(ApplyConfiguration(&applied, tuned[i], point[i]).ok());
       }
+      CostEstimate priced = pricing.Cost(*pricer, configs);
+      ExpectSameEstimate(priced, oracle.Cost(applied));
+      if (round == 0) out.push_back(std::move(priced));
     }
-    EXPECT_EQ(pricing_stats.whatif_invocations,
-              oracle_stats.whatif_invocations);
-    EXPECT_EQ(pricing_stats.full_predictions, oracle_stats.full_predictions);
-    EXPECT_EQ(pricing_stats.plan_cache_hits, oracle_stats.plan_cache_hits);
-    EXPECT_EQ(pricing_stats.plan_cache_misses,
-              oracle_stats.plan_cache_misses);
-    if (memo) {
-      EXPECT_GT(pricing_stats.plan_cache_hits, 0u);
-    }
-    // The pricer predicts only what a point can change.
-    EXPECT_LE(pricing_stats.job_predictions, oracle_stats.job_predictions);
   }
+  EXPECT_EQ(pricing_stats.whatif_invocations, oracle_stats.whatif_invocations);
+  EXPECT_EQ(pricing_stats.full_predictions, oracle_stats.full_predictions);
+  // The pricer predicts only what a point can change.
+  EXPECT_LE(pricing_stats.job_predictions, oracle_stats.job_predictions);
   return out;
 }
 

@@ -270,6 +270,68 @@ TEST(SignatureTest, PruneListOrderDoesNotEnterIdentity) {
   EXPECT_EQ(la->jobs.at("J1"), lb->jobs.at("J1"));
 }
 
+TEST(SignatureTest, ReuseKeysMatchRecordedBits) {
+  // A store saved by one build must keep serving hits in the next, so the
+  // keys it files results under are pinned here. The plan is built by hand
+  // from integer and string rows: no libm result reaches a key.
+  ClusterSpec cluster;
+  WorkflowFactory f(cluster);
+  Schema in_schema({"K", "S"});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 12; ++i) {
+    rows.push_back(Row{i % 4, std::string("s") + std::to_string(i)});
+  }
+  ASSERT_TRUE(f.AddBase("B", in_schema, Layout{}, 2, std::move(rows),
+                        kGB).ok());
+  Schema counts({"K", "N"});
+  ASSERT_TRUE(f.AddDataset("MID", counts).ok());
+  ASSERT_TRUE(f.AddDataset("OUT", Schema({"K"}), /*workflow_output=*/true)
+                  .ok());
+  WorkflowFactory::JobDef count;
+  count.id = "Jcount";
+  count.inputs = {In("B", {})};
+  count.map_output_schema = in_schema;
+  count.reduce_stages = {Stage::Reduce(
+      AggReduce("count_k", in_schema, {"K"}, {{"S", AggOp::kCount, "N"}}),
+      {"K"})};
+  count.output = "MID";
+  count.config.num_reduce_tasks = 3;
+  ASSERT_TRUE(f.AddJob(std::move(count)).ok());
+  WorkflowFactory::JobDef project;
+  project.id = "Jproject";
+  project.inputs = {In("MID", {Stage::Map(ProjectMap("just_k", counts,
+                                                      {"K"}))})};
+  project.map_output_schema = Schema({"K"});
+  project.output = "OUT";
+  ASSERT_TRUE(f.AddJob(std::move(project)).ok());
+  const Plan& plan = f.plan();
+  ASSERT_TRUE(plan.Validate().ok());
+
+  auto base = f.dfs().Get("B");
+  ASSERT_TRUE(base.ok());
+  std::map<std::string, CostKey> datasets;
+  datasets["B"] = DatasetContentKey(**base);
+  EXPECT_EQ(CostKeyToHex(datasets["B"]), "0d5e5154cfffb40c09a23a7106009930");
+  auto count_key = JobReuseKey(**plan.GetJob("Jcount"), plan, datasets);
+  ASSERT_TRUE(count_key.ok()) << count_key.status();
+  EXPECT_EQ(CostKeyToHex(*count_key), "d31f0ef7e4e41a374c8d278ba1a2f24f");
+  datasets["MID"] = JobOutputKey(*count_key, 0);
+  auto project_key = JobReuseKey(**plan.GetJob("Jproject"), plan, datasets);
+  ASSERT_TRUE(project_key.ok()) << project_key.status();
+  EXPECT_EQ(CostKeyToHex(*project_key), "ad0d9803cd9f233584108235daa82d54");
+  const CostKey salt = ReuseSaltFromOptions(StubbyOptions{});
+  EXPECT_EQ(CostKeyToHex(salt), "80ca48d89784aacf86e8ab068117283a");
+  EXPECT_EQ(CostKeyToHex(WorkflowOutputKey(JobOutputKey(*project_key, 0),
+                                           salt)),
+            "3d304282e020dbc3aba93cfdd8e8719a");
+  // The lineage pass derives the same keys.
+  auto lineage = ComputeLineage(plan, f.dfs());
+  ASSERT_TRUE(lineage.ok()) << lineage.status();
+  EXPECT_EQ(lineage->datasets.at("B"), datasets["B"]);
+  EXPECT_EQ(lineage->jobs.at("Jcount"), *count_key);
+  EXPECT_EQ(lineage->jobs.at("Jproject"), *project_key);
+}
+
 // --- the store -------------------------------------------------------------
 
 TEST(ResultStoreTest, RegisterLookupAndSharedSnapshots) {

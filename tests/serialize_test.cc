@@ -130,6 +130,32 @@ TEST(SerializeTest, ImportIgnoresRetiredCombineSelectivityKey) {
   EXPECT_EQ(text.find("combine_selectivity"), std::string::npos);
 }
 
+TEST(SerializeTest, ImportRejectsBadPinnedReduceTaskCount) {
+  // Export a plan whose reduce job pins 4 tasks, then rewrite the pinned
+  // count: only an integer of at least 1 within int's range imports.
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  Plan plan = f->plan();
+  (*plan.GetMutableJob("Jp"))->conditions.num_reduce_fixed = 4;
+  const std::string text = ExportPlan(plan);
+  const std::string pinned = "\"num_reduce_fixed\": 4";
+  const size_t at = text.find(pinned);
+  ASSERT_NE(at, std::string::npos) << text;
+  auto with_count = [&](const std::string& count) {
+    std::string edited = text;
+    edited.replace(at, pinned.size(), "\"num_reduce_fixed\": " + count);
+    return edited;
+  };
+  PlanFunctionResolver resolver(plan);
+  auto kept = ImportPlan(with_count("4"), resolver);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ((*kept->GetJob("Jp"))->conditions.num_reduce_fixed, 4);
+  for (const char* bad : {"0", "-1", "2.5", "1e300", "\"4\""}) {
+    EXPECT_FALSE(ImportPlan(with_count(bad), resolver).ok())
+        << "num_reduce_fixed=" << bad;
+  }
+}
+
 TEST(SerializeTest, MaterializedFromRoundTrips) {
   // Reuse-rewritten plans mark stored-dataset scans via materialized_from;
   // exported artifacts must keep the marker so re-imported plans still

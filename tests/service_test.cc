@@ -3,8 +3,7 @@
 // request (plan, cost bits, reuse counters, raw outputs) and every byte of
 // shared-store state must equal a sequential fresh-session loop over the
 // same submission trace — plus deterministic admission control, per-tenant
-// budget enforcement, the degradation ladder, and the shared cost cache
-// (transparent, and serving later requests).
+// budget enforcement, and the degradation ladder.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +16,9 @@
 
 #include "common/threading.h"
 #include "optimizer/transform.h"
-#include "profiler/profiler.h"
 #include "reuse/session.h"
 #include "service/stubbyd.h"
 #include "service/trace.h"
-#include "workloads/registry.h"
 
 namespace stubby {
 namespace {
@@ -38,6 +35,7 @@ struct Capture {
   double estimated_cost = 0.0;
   double simulated_cost = 0.0;
   std::string reuse_counters;
+  CostInstrumentation costing;
   std::string degrade;
   std::map<std::string, std::vector<Row>> outputs;
 };
@@ -52,6 +50,7 @@ Capture CaptureResult(const Status& status, const ReuseSessionResult& r,
   c.estimated_cost = r.report.estimated_cost;
   c.simulated_cost = r.simulated_cost;
   c.reuse_counters = r.reuse.ToString();
+  c.costing = r.report.costing;
   c.outputs = r.outputs;
   return c;
 }
@@ -68,6 +67,16 @@ void ExpectSameCapture(const Capture& got, const Capture& want,
   EXPECT_TRUE(SameCostBits(got.simulated_cost, want.simulated_cost))
       << got.simulated_cost << " vs " << want.simulated_cost;
   EXPECT_EQ(got.reuse_counters, want.reuse_counters);
+  // The request's optimizer did the same costing work, counter by counter.
+  EXPECT_EQ(got.costing.whatif_invocations, want.costing.whatif_invocations);
+  EXPECT_EQ(got.costing.plan_cache_hits, want.costing.plan_cache_hits);
+  EXPECT_EQ(got.costing.plan_cache_misses, want.costing.plan_cache_misses);
+  EXPECT_EQ(got.costing.full_predictions, want.costing.full_predictions);
+  EXPECT_EQ(got.costing.job_predictions, want.costing.job_predictions);
+  EXPECT_EQ(got.costing.job_cache_hits, want.costing.job_cache_hits);
+  EXPECT_EQ(got.costing.rrs_evaluations, want.costing.rrs_evaluations);
+  EXPECT_EQ(got.costing.reuse_priced_candidates,
+            want.costing.reuse_priced_candidates);
   ASSERT_EQ(got.outputs.size(), want.outputs.size());
   for (const auto& [id, rows] : got.outputs) {
     ASSERT_EQ(want.outputs.count(id), 1u) << id;
@@ -377,79 +386,6 @@ TEST(StubbyServiceTest, DegradationLadder) {
     }
     EXPECT_EQ(service.store().Serialize(), oracle.store_.Serialize());
   }
-}
-
-TEST(StubbyServiceTest, SharedCostCacheIsTransparent) {
-  // The service-wide CostCache is a pure wall-time artifact: throttling it
-  // to two entries must not move a single committed bit.
-  const SubmissionTrace trace = SmallTrace(/*universe=*/3, /*submissions=*/10,
-                                           /*tenants=*/2);
-  auto run = [&](CostCache::Options cache) {
-    ServiceOptions options;
-    options.wave_size = 3;
-    options.cost_cache = cache;
-    ThreadPool pool(4);
-    StubbyService service(options, &pool);
-    std::vector<RequestResult> results = RunThroughService(&service, trace);
-    std::vector<Capture> captures;
-    for (const RequestResult& r : results) {
-      captures.push_back(CaptureResult(r.status, r.session, r.degrade));
-    }
-    return std::make_pair(std::move(captures), service.store().Serialize());
-  };
-  auto wide = run(CostCache::Options{});
-  auto tiny = run(CostCache::Options{2});
-  ASSERT_EQ(wide.first.size(), tiny.first.size());
-  for (size_t i = 0; i < wide.first.size(); ++i) {
-    ExpectSameCapture(tiny.first[i], wide.first[i],
-                      "request " + std::to_string(i));
-  }
-  EXPECT_EQ(wide.second, tiny.second);
-}
-
-TEST(StubbyServiceTest, SharedPlanMemoServesARepeatedRequest) {
-  // One Table 1 workflow, submitted twice in separate waves. The first
-  // request registers its outputs, which pushes the store past the hard
-  // threshold, so the second runs reuse-blind: the same search over the
-  // same plans. Every estimate it asks for must come from the shared memo
-  // the first request's overlay merged into, with the same plan and bits.
-  WorkloadOptions wopt;
-  wopt.sample_rows = 2000;
-  auto workload = MakeWorkload("IR", wopt);
-  ASSERT_TRUE(workload.ok()) << workload.status();
-  Dfs scratch = workload->dfs;
-  ASSERT_TRUE(
-      Profiler(wopt.cluster).ProfilePlan(&workload->plan, &scratch).ok());
-  Submission sub;
-  sub.name = "IR";
-  sub.plan = std::make_shared<const Plan>(workload->plan);
-  sub.dfs = std::make_shared<const Dfs>(workload->dfs);
-
-  ServiceOptions options;
-  options.hard_degrade_bytes = 1;
-  options.cost_cache.plan_capacity = size_t{1} << 20;  // never evicts
-  ThreadPool pool(4);
-  StubbyService service(options, &pool);
-  std::vector<RequestResult> done;
-  for (int wave = 0; wave < 2; ++wave) {
-    ASSERT_TRUE(service.Submit(sub).ok());
-    std::vector<RequestResult> results = service.Drain();
-    ASSERT_EQ(results.size(), 1u);
-    ASSERT_TRUE(results[0].status.ok()) << results[0].status;
-    done.push_back(std::move(results[0]));
-  }
-  EXPECT_EQ(done[0].degrade, DegradeLevel::kFull);
-  EXPECT_EQ(done[1].degrade, DegradeLevel::kBlind);
-  EXPECT_EQ(service.cost_cache().plan_evictions(), 0u);
-
-  const OptimizeReport& first = done[0].session.report;
-  const OptimizeReport& second = done[1].session.report;
-  EXPECT_GT(first.costing.plan_cache_misses, 0u);
-  EXPECT_GT(second.costing.plan_cache_hits, 0u);
-  EXPECT_EQ(second.costing.plan_cache_misses, 0u);
-  EXPECT_EQ(PlanSignature(second.plan), PlanSignature(first.plan));
-  EXPECT_TRUE(SameCostBits(second.estimated_cost, first.estimated_cost))
-      << second.estimated_cost << " vs " << first.estimated_cost;
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests of the deterministic task-parallel core: the work-stealing
-// ThreadPool and its fork-join primitives, the CostCacheOverlay
-// snapshot/merge protocol, and the batch-structured RRS — the pieces
-// whose contract is "any thread count, any steal schedule, identical
-// bits".
+// ThreadPool and its fork-join primitives, and the batch-structured RRS —
+// the pieces whose contract is "any thread count, any steal schedule,
+// identical bits".
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "common/threading.h"
-#include "cost/cost_cache.h"
 #include "optimizer/rrs.h"
 
 namespace stubby {
@@ -373,134 +371,6 @@ TEST(RunTasksTest, OrderedMergeIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     EXPECT_EQ(run(&pool), serial) << "threads=" << threads;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CostCacheOverlay
-
-CostKey Key(uint64_t n) { return {n, ~n}; }
-
-CostEstimate Est(double cost) {
-  CostEstimate e;
-  e.cost = cost;
-  return e;
-}
-
-TEST(CostCacheOverlayTest, ReadsFallThroughWritesStayLocal) {
-  CostCache cache;
-  cache.InsertPlan(Key(1), Est(10.0));
-
-  CostCacheOverlay overlay(&cache);
-  const CostEstimate* hit = overlay.FindPlan(Key(1));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cost, 10.0);
-  EXPECT_EQ(overlay.FindPlan(Key(2)), nullptr);
-
-  overlay.InsertPlan(Key(2), Est(20.0));
-  ASSERT_NE(overlay.FindPlan(Key(2)), nullptr);
-  EXPECT_EQ(overlay.FindPlan(Key(2))->cost, 20.0);
-  // The shared store must not see the overlay's write until the merge.
-  EXPECT_EQ(cache.PeekPlan(Key(2)), nullptr);
-}
-
-TEST(CostCacheOverlayTest, LocalWriteShadowsParent) {
-  CostCache cache;
-  cache.InsertPlan(Key(1), Est(10.0));
-  CostCacheOverlay overlay(&cache);
-  overlay.InsertPlan(Key(1), Est(99.0));
-  EXPECT_EQ(overlay.FindPlan(Key(1))->cost, 99.0);
-  EXPECT_EQ(overlay.PeekPlan(Key(1))->cost, 99.0);
-  EXPECT_EQ(cache.PeekPlan(Key(1))->cost, 10.0);
-}
-
-TEST(CostCacheOverlayTest, MergeReplaysInsertsAndRecency) {
-  // plan_capacity 2 → a single shard with exact global LRU order, so the
-  // journaled Touch must decide the eviction victim after the merge.
-  CostCache::Options opts;
-  opts.plan_capacity = 2;
-  CostCache cache(opts);
-  cache.InsertPlan(Key(1), Est(1.0));
-  cache.InsertPlan(Key(2), Est(2.0));  // LRU order now: 2 (fresh), 1
-
-  CostCacheOverlay overlay(&cache);
-  ASSERT_NE(overlay.FindPlan(Key(1)), nullptr);  // journals a touch of 1
-  overlay.MergeInto(&cache);                     // LRU order now: 1, 2
-
-  cache.InsertPlan(Key(3), Est(3.0));  // evicts 2, the least recent
-  EXPECT_NE(cache.PeekPlan(Key(1)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(2)), nullptr);
-  EXPECT_NE(cache.PeekPlan(Key(3)), nullptr);
-}
-
-TEST(CostCacheOverlayTest, MergeWritesLocalInsertsIntoStore) {
-  CostCache cache;
-  CostCacheOverlay overlay(&cache);
-  overlay.InsertPlan(Key(7), Est(7.0));
-  overlay.MergeInto(&cache);
-  ASSERT_NE(cache.PeekPlan(Key(7)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(7))->cost, 7.0);
-}
-
-TEST(CostCacheOverlayTest, OverlaysNestOverOverlays) {
-  CostCache cache;
-  cache.InsertPlan(Key(1), Est(1.0));
-  CostCacheOverlay outer(&cache);
-  outer.InsertPlan(Key(2), Est(2.0));
-
-  CostCacheOverlay inner(&outer);
-  EXPECT_EQ(inner.FindPlan(Key(1))->cost, 1.0);  // through both layers
-  EXPECT_EQ(inner.FindPlan(Key(2))->cost, 2.0);  // from the outer overlay
-  inner.InsertPlan(Key(3), Est(3.0));
-  EXPECT_EQ(outer.PeekPlan(Key(3)), nullptr);
-
-  inner.MergeInto(&outer);
-  ASSERT_NE(outer.PeekPlan(Key(3)), nullptr);
-  EXPECT_EQ(outer.PeekPlan(Key(3))->cost, 3.0);
-  outer.MergeInto(&cache);
-  ASSERT_NE(cache.PeekPlan(Key(3)), nullptr);
-  EXPECT_EQ(cache.PeekPlan(Key(2))->cost, 2.0);
-}
-
-TEST(CostCacheOverlayTest, NullParentMissesUntilWritten) {
-  CostCacheOverlay overlay(nullptr);
-  EXPECT_EQ(overlay.FindPlan(Key(1)), nullptr);
-  overlay.InsertPlan(Key(1), Est(5.0));
-  EXPECT_EQ(overlay.FindPlan(Key(1))->cost, 5.0);
-}
-
-TEST(CostCacheOverlayTest, SnapshotMergeMatchesSerialExecution) {
-  // Two identical optimizer runs, one routing all cache traffic through
-  // per-task overlays merged in submission order, one writing the shared
-  // cache directly in the same order — the final cache contents must agree.
-  auto direct = std::make_unique<CostCache>();
-  auto overlaid = std::make_unique<CostCache>();
-  for (uint64_t task = 0; task < 4; ++task) {
-    // Direct, serial.
-    for (uint64_t k = 0; k < 3; ++k) {
-      if (direct->FindPlan(Key(task * 3 + k)) == nullptr) {
-        direct->InsertPlan(Key(task * 3 + k), Est(double(task * 3 + k)));
-      }
-    }
-  }
-  std::vector<std::unique_ptr<CostCacheOverlay>> overlays;
-  for (uint64_t task = 0; task < 4; ++task) {
-    overlays.push_back(std::make_unique<CostCacheOverlay>(overlaid.get()));
-    for (uint64_t k = 0; k < 3; ++k) {
-      if (overlays.back()->FindPlan(Key(task * 3 + k)) == nullptr) {
-        overlays.back()->InsertPlan(Key(task * 3 + k),
-                                    Est(double(task * 3 + k)));
-      }
-    }
-  }
-  for (const auto& o : overlays) o->MergeInto(overlaid.get());
-  EXPECT_EQ(direct->plan_entries(), overlaid->plan_entries());
-  for (uint64_t n = 0; n < 12; ++n) {
-    const CostEstimate* a = direct->PeekPlan(Key(n));
-    const CostEstimate* b = overlaid->PeekPlan(Key(n));
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(a->cost, b->cost);
   }
 }
 
