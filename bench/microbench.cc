@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and optimizer: row handling, partitioning, pipeline execution, the
-// cluster scheduler, plan signatures, what-if costing, and RRS — the inner
-// loops that bound the optimizer overhead reported in Figure 13.
+// cluster scheduler, plan signatures, what-if costing, RRS — the inner
+// loops that bound the optimizer overhead reported in Figure 13 — and
+// profiling against plain execution.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
+#include "exec/job_runner.h"
 #include "exec/workflow_runner.h"
 #include "exec/wrappers.h"
 #include "mr/partitioner.h"
@@ -226,6 +228,42 @@ void BM_RrsPointBR(benchmark::State& state) {
   state.counters["tuned_jobs"] = static_cast<double>(point.tuned.size());
 }
 BENCHMARK(BM_RrsPointBR)->ArgName("applied_copy")->Arg(0)->Arg(1);
+
+// Profiling BR at 5,000 rows (one observed run per job), beside a plain
+// job-by-job run of the same plan: their ratio is what profiling adds to
+// executing.
+void BM_ProfilePlanBR(benchmark::State& state) {
+  WorkloadOptions options;
+  options.sample_rows = 5000;
+  auto w = MakeWorkload("BR", options);
+  STUBBY_CHECK_OK(w.status());
+  Profiler profiler(options.cluster);
+  for (auto _ : state) {
+    Dfs dfs = w->dfs;
+    STUBBY_CHECK_OK(profiler.ProfilePlan(&w->plan, &dfs));
+    benchmark::DoNotOptimize(dfs);
+  }
+}
+BENCHMARK(BM_ProfilePlanBR)->Unit(benchmark::kMillisecond);
+
+void BM_JobRunnerBR(benchmark::State& state) {
+  WorkloadOptions options;
+  options.sample_rows = 5000;
+  auto w = MakeWorkload("BR", options);
+  STUBBY_CHECK_OK(w.status());
+  auto order = w->plan.TopologicalOrder();
+  STUBBY_CHECK_OK(order.status());
+  JobRunner runner(options.cluster);
+  for (auto _ : state) {
+    Dfs dfs = w->dfs;
+    for (const std::string& jid : *order) {
+      STUBBY_CHECK_OK(
+          runner.Run(w->plan, **w->plan.GetJob(jid), &dfs).status());
+    }
+    benchmark::DoNotOptimize(dfs);
+  }
+}
+BENCHMARK(BM_JobRunnerBR)->Unit(benchmark::kMillisecond);
 
 void BM_PlanSignature(benchmark::State& state) {
   WorkloadOptions options;

@@ -440,10 +440,10 @@ Result<JobDataflow> PlanPricer::PredictJob(
     df.max_reduce_input_bytes += static_cast<uint64_t>(
         c_bytes * dist.max_fraction);
 
-    // Fold the reduce-side pipeline. The first grouped stage's selectivity
-    // was profiled against the *pre-combine* map output (the profiler sees
-    // no combiner), so its output is based on the pre-combine volume; its
-    // CPU reflects the post-combine rows it actually processes.
+    // Fold the reduce-side pipeline. The profiler records the first grouped
+    // stage against the *pre-combine* map output, so its output is based on
+    // the pre-combine volume; its CPU reflects the post-combine rows it
+    // actually processes.
     double r_recs = c_recs;
     double r_bytes = c_bytes;
     bool first_stage = true;

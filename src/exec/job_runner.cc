@@ -22,6 +22,67 @@ uint64_t RowsBytes(const std::vector<Row>& rows) {
   return b;
 }
 
+/// Sorts `runs` on value and folds runs of equal values into one.
+template <typename T>
+void FoldRuns(ValueRuns<T>* runs) {
+  std::sort(runs->begin(), runs->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t n = 0;
+  for (const auto& run : *runs) {
+    if (n > 0 && (*runs)[n - 1].first == run.first) {
+      (*runs)[n - 1].second += run.second;
+    } else {
+      (*runs)[n++] = run;
+    }
+  }
+  runs->resize(n);
+}
+
+/// Records the values of each of the `width` fields of a task's map output
+/// into `seen`, one run per row (FoldRuns folds them once the merge is
+/// done); nullopt for a field some row carries a string in.
+void ObserveFields(const std::vector<Row>& rows, size_t width,
+                   BranchObservation* seen) {
+  seen->field_runs.assign(width, std::nullopt);
+  for (size_t f = 0; f < width; ++f) {
+    ValueRuns<double> runs;
+    runs.reserve(rows.size());
+    for (const Row& row : rows) {
+      if (row[f].is_string()) break;
+      runs.emplace_back(row[f].AsDouble(), 1);
+    }
+    if (runs.size() == rows.size()) seen->field_runs[f] = std::move(runs);
+  }
+}
+
+void AddCounts(std::vector<StageCounts>* into,
+               const std::vector<StageCounts>& piece) {
+  for (size_t i = 0; i < piece.size(); ++i) (*into)[i].Add(piece[i]);
+}
+
+/// Adds what one task piece observed of a branch into the run's
+/// observation: counts add, field runs append (FoldRuns sorts them once the
+/// merge is done), and a field stays numeric only while no piece saw a
+/// string in it.
+void AddObservation(BranchObservation* into, const BranchObservation& piece) {
+  for (size_t ii = 0; ii < piece.inputs.size(); ++ii) {
+    into->inputs[ii].records += piece.inputs[ii].records;
+    into->inputs[ii].bytes += piece.inputs[ii].bytes;
+    AddCounts(&into->inputs[ii].map_stages, piece.inputs[ii].map_stages);
+  }
+  AddCounts(&into->merged_map_stages, piece.merged_map_stages);
+  AddCounts(&into->reduce_stages, piece.reduce_stages);
+  for (size_t f = 0; f < piece.field_runs.size(); ++f) {
+    std::optional<ValueRuns<double>>& runs = into->field_runs[f];
+    if (!piece.field_runs[f]) {
+      runs.reset();
+    } else if (runs) {
+      runs->insert(runs->end(), piece.field_runs[f]->begin(),
+                   piece.field_runs[f]->end());
+    }
+  }
+}
+
 /// Tee output of one task: one finished partition per teed dataset.
 using TeePieces = std::map<std::string, PartitionData>;
 
@@ -101,6 +162,14 @@ struct ShuffledOutput {
   std::vector<ShuffleBucket> buckets;  ///< ascending r, non-empty only
 };
 
+/// One task's map output for one branch, and what an observed run saw of
+/// the branch in that task.
+struct MapOutput {
+  PartitionData out;           ///< map-only branches
+  ShuffledOutput shuffled;     ///< shuffle branches
+  BranchObservation observed;  ///< observed runs only
+};
+
 }  // namespace
 
 Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
@@ -139,8 +208,9 @@ Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
 // the pieces in task order — replaying the exact accumulation sequence of
 // a serial run. Results are therefore bit-identical (including
 // floating-point sums) at any thread count.
-Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
-                                   Dfs* dfs) const {
+Result<JobDataflow> JobRunner::Run(
+    const Plan& plan, const JobVertex& job, Dfs* dfs,
+    std::vector<BranchObservation>* observation) const {
   JobDataflow df;
   df.job_id = job.id;
   const bool map_only = job.map_only();
@@ -149,6 +219,21 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
   df.output_compressed = job.config.compress_output;
 
   const size_t nb = job.branches.size();
+  const bool observe = observation != nullptr;
+  if (observe) {
+    observation->assign(nb, {});
+    for (size_t bi = 0; bi < nb; ++bi) {
+      const Branch& b = job.branches[bi];
+      BranchObservation& seen = (*observation)[bi];
+      seen.inputs.resize(b.inputs.size());
+      for (size_t ii = 0; ii < b.inputs.size(); ++ii) {
+        seen.inputs[ii].map_stages.resize(b.inputs[ii].map_stages.size());
+      }
+      seen.merged_map_stages.resize(b.merged_map_stages.size());
+      seen.reduce_stages.resize(b.reduce_stages.size());
+      seen.field_runs.assign(b.map_output_schema.size(), ValueRuns<double>{});
+    }
+  }
 
   // Per-branch execution state.
   struct BranchState {
@@ -290,6 +375,49 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     }
   };
 
+  // Task side of a branch's map output: the output partition or the
+  // shuffle, and an observed run's field runs of the pre-combine rows.
+  auto finish_map = [&](size_t bi, std::vector<Row> rows, MapOutput* mo) {
+    const Branch& b = job.branches[bi];
+    if (observe && !rows.empty()) {
+      ObserveFields(rows, b.map_output_schema.size(), &mo->observed);
+    }
+    if (b.map_only()) {
+      mo->out = PartitionData(std::move(rows));
+    } else {
+      mo->shuffled = compute_shuffle(bi, std::move(rows));
+    }
+  };
+  // Merge side, in task order. An observed run also records a shuffle
+  // piece's pre-combine records, bytes and group hashes.
+  auto merge_map = [&](size_t bi, MapOutput& mo, double scale) {
+    if (observe) {
+      BranchObservation& seen = (*observation)[bi];
+      AddObservation(&seen, mo.observed);
+      seen.map_output_records += mo.shuffled.out_records;
+      seen.map_output_bytes += mo.shuffled.out_bytes;
+      for (uint64_t h : mo.shuffled.group_hashes) {
+        seen.group_runs.emplace_back(h, 1);
+      }
+    }
+    if (job.branches[bi].map_only()) {
+      bstate[bi].output.Add(std::move(mo.out), scale);
+    } else {
+      merge_shuffle(bi, std::move(mo.shuffled), scale);
+    }
+  };
+  // Where a task piece that read `records` rows (`bytes` bytes) of input
+  // `ii` counts that input's map pipeline; null in an unobserved run.
+  auto observe_input = [&](BranchObservation* seen, size_t ii,
+                           uint64_t records,
+                           uint64_t bytes) -> std::vector<StageCounts>* {
+    if (!observe) return nullptr;
+    if (seen->inputs.size() <= ii) seen->inputs.resize(ii + 1);
+    seen->inputs[ii].records += records;
+    seen->inputs[ii].bytes += bytes;
+    return &seen->inputs[ii].map_stages;
+  };
+
   // Accounts one map-task input chunk read from dataset `ds`.
   auto account_input = [&](const StoredDataset& ds, uint64_t chunk_bytes,
                            uint64_t chunk_rows) -> uint64_t {
@@ -309,8 +437,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
   // Effective map stages: per-(branch, input) copies of the plan's stage
   // vectors, with probe stages rebound below to the filter built for their
   // branch. The plan's own stage instances stay untouched (unbound probe
-  // stages are pass-throughs), so profiling, serialization, and later runs
-  // see no execution state.
+  // stages are pass-throughs), so serialization and later runs see no
+  // execution state; an observed run counts the bound probes, i.e. what
+  // the run filtered.
   std::vector<std::vector<std::vector<Stage>>> eff_stages(nb);
   for (size_t bi = 0; bi < nb; ++bi) {
     const Branch& b = job.branches[bi];
@@ -358,7 +487,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       }
       for (const Row& row : part.rows()) (*runner)->Emit(row);
       (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
+      piece.cpu_units = (*runner)->cpu_units();
       piece.partial = std::make_unique<BloomFilter>(
           spec.bits_log2, spec.num_hashes, kBloomFilterSeed);
       for (const Row& row : out.rows()) {
@@ -480,8 +609,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     Status status = Status::OK();
     double cpu_units = 0.0;
     TeePieces tee;
-    PartitionData out;        // map-only branches
-    ShuffledOutput shuffled;  // shuffle branches
+    MapOutput output;
   };
   struct MapTaskResult {
     uint64_t chunk_bytes = 0;
@@ -498,11 +626,12 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     }
     for (const auto& [bi, ii] : t.group->subscribers) {
       SubscriberPiece& piece = res.pieces.emplace_back();
-      const Branch& b = job.branches[bi];
       TaskTeeSink tee;
       VectorEmitter out;
-      auto runner = PipelineRunner::Make(eff_stages[bi][ii], t.ds->schema(),
-                                         &out, &tee);
+      auto runner = PipelineRunner::Make(
+          eff_stages[bi][ii], t.ds->schema(), &out, &tee,
+          observe_input(&piece.output.observed, ii, res.chunk_rows,
+                        res.chunk_bytes));
       if (!runner.ok()) {
         piece.status = runner.status();
         continue;
@@ -512,13 +641,9 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         for (size_t i = seg.lo; i < seg.hi; ++i) (*runner)->Emit(src[i]);
       }
       (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
+      piece.cpu_units = (*runner)->cpu_units();
       piece.tee = tee.Take();
-      if (b.map_only()) {
-        piece.out = PartitionData(std::move(out.rows()));
-      } else {
-        piece.shuffled = compute_shuffle(bi, std::move(out.rows()));
-      }
+      finish_map(bi, std::move(out.rows()), &piece.output);
     }
     t.segs.clear();
     t.segs.shrink_to_fit();
@@ -537,11 +662,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       const size_t bi = t.group->subscribers[si].first;
       df.map_cpu_units += piece.cpu_units * t.scale;
       drain_tee(piece.tee, t.scale);
-      if (job.branches[bi].map_only()) {
-        bstate[bi].output.Add(std::move(piece.out), t.scale);
-      } else {
-        merge_shuffle(bi, std::move(piece.shuffled), t.scale);
-      }
+      merge_map(bi, piece.output, t.scale);
     }
   }
   map_results.clear();
@@ -600,8 +721,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
     double task_scale = 1.0;
     double merged_cpu_units = 0.0;
     TeePieces merged_tee;
-    PartitionData out;        // map-only branches
-    ShuffledOutput shuffled;  // shuffle branches
+    MapOutput output;
   };
   std::vector<MergeTaskResult> merge_results(merge_tasks.size());
   RunTasks(pool_, merge_tasks.size(), [&](size_t ti) {
@@ -633,15 +753,16 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       piece.nrows = part.num_rows();
       TaskTeeSink tee;
       VectorEmitter out;
-      auto runner = PipelineRunner::Make(b.inputs[i].map_stages, ds.schema(),
-                                         &out, &tee);
+      auto runner = PipelineRunner::Make(
+          b.inputs[i].map_stages, ds.schema(), &out, &tee,
+          observe_input(&res.output.observed, i, part.num_rows(), pb));
       if (!runner.ok()) {
         res.status = runner.status();
         return;
       }
       for (const Row& row : part.rows()) (*runner)->Emit(row);
       (*runner)->Finish();
-      piece.cpu_units = (*runner)->counters().cpu_units;
+      piece.cpu_units = (*runner)->cpu_units();
       piece.tee = tee.Take();
       merged.insert(merged.end(), std::make_move_iterator(out.rows().begin()),
                     std::make_move_iterator(out.rows().end()));
@@ -658,28 +779,24 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
                      });
     TaskTeeSink tee;
     VectorEmitter out;
-    auto runner =
-        PipelineRunner::Make(b.merged_map_stages, b.merge_schema, &out, &tee);
+    auto runner = PipelineRunner::Make(
+        b.merged_map_stages, b.merge_schema, &out, &tee,
+        observe ? &res.output.observed.merged_map_stages : nullptr);
     if (!runner.ok()) {
       res.status = runner.status();
       return;
     }
     for (Row& row : merged) (*runner)->Emit(std::move(row));
     (*runner)->Finish();
-    res.merged_cpu_units = (*runner)->counters().cpu_units;
+    res.merged_cpu_units = (*runner)->cpu_units();
     res.merged_tee = tee.Take();
-    if (b.map_only()) {
-      res.out = PartitionData(std::move(out.rows()));
-    } else {
-      res.shuffled = compute_shuffle(ctx.bi, std::move(out.rows()));
-    }
+    finish_map(ctx.bi, std::move(out.rows()), &res.output);
   });
 
   for (size_t ti = 0; ti < merge_tasks.size(); ++ti) {
     const MergeBranchCtx& ctx = merge_ctx[merge_tasks[ti].ctx];
     MergeTaskResult& res = merge_results[ti];
     if (!res.status.ok()) return res.status;
-    const Branch& b = job.branches[ctx.bi];
     for (MergeInputPiece& piece : res.pieces) {
       const StoredDataset& ds = *ctx.inputs_ds[piece.input_index];
       account_input(ds, piece.pb, piece.nrows);
@@ -690,11 +807,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
         std::max(df.max_map_task_input_bytes, res.task_logical_bytes);
     df.map_cpu_units += res.merged_cpu_units * res.task_scale;
     drain_tee(res.merged_tee, res.task_scale);
-    if (b.map_only()) {
-      bstate[ctx.bi].output.Add(std::move(res.out), res.task_scale);
-    } else {
-      merge_shuffle(ctx.bi, std::move(res.shuffled), res.task_scale);
-    }
+    merge_map(ctx.bi, res.output, res.task_scale);
   }
   merge_results.clear();
   merge_tasks.clear();
@@ -736,6 +849,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       double cpu_units = 0.0;
       TeePieces tee;
       PartitionData out;
+      BranchObservation observed;  // observed runs only
     };
     struct ReduceTaskResult {
       std::vector<ReducePiece> pieces;  // indexed by branch
@@ -776,15 +890,16 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
                          });
         TaskTeeSink tee;
         VectorEmitter out;
-        auto runner = PipelineRunner::Make(b.reduce_stages,
-                                           b.map_output_schema, &out, &tee);
+        auto runner = PipelineRunner::Make(
+            b.reduce_stages, b.map_output_schema, &out, &tee,
+            observe ? &piece.observed.reduce_stages : nullptr);
         if (!runner.ok()) {
           piece.status = runner.status();
           continue;
         }
         for (Row& row : rows) (*runner)->Emit(std::move(row));
         (*runner)->Finish();
-        piece.cpu_units = (*runner)->counters().cpu_units;
+        piece.cpu_units = (*runner)->cpu_units();
         piece.tee = tee.Take();
         piece.out = PartitionData(std::move(out.rows()));
       }
@@ -825,6 +940,7 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
             st.bucket_scaled_bytes[ri] * st.combine_ratio);
         df.reduce_cpu_units += piece.cpu_units * cpu_scale;
         drain_tee(piece.tee, scale);
+        if (observe) AddObservation(&(*observation)[bi], piece.observed);
         st.output.AddTo(ri, std::move(piece.out), scale);
       }
       if (nonempty) df.nonempty_reduce_partitions++;
@@ -865,6 +981,14 @@ Result<JobDataflow> JobRunner::Run(const Plan& plan, const JobVertex& job,
       ds->set_logical_scale(it->second.LogicalScale());
     }
     dfs->PutOrReplace(std::move(ds));
+  }
+  if (observe) {
+    for (BranchObservation& seen : *observation) {
+      FoldRuns(&seen.group_runs);
+      for (std::optional<ValueRuns<double>>& runs : seen.field_runs) {
+        if (runs) FoldRuns(&*runs);
+      }
+    }
   }
   return df;
 }

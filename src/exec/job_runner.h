@@ -9,12 +9,23 @@
 // tasks whose per-task pieces are merged serially in task order, so
 // outputs and every dataflow metric (including floating-point sums) are
 // bit-identical to a single-threaded run.
+//
+// On request a run is also observed: each pipeline counts what its stages
+// see and each task hands over its map output's values and group hashes,
+// and the same serial merge adds these into one BranchObservation per
+// branch — the raw material of profile annotations (profiler/), identical
+// at any thread count.
 
 #pragma once
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "cost/dataflow.h"
 #include "dfs/dfs.h"
+#include "exec/wrappers.h"
 #include "mr/cluster.h"
 #include "workflow/plan.h"
 
@@ -36,6 +47,32 @@ struct ExecOptions {
   bool columnar = true;
 };
 
+/// Sorted (value, count) runs: each distinct value once, ascending, with
+/// the number of records that carried it.
+template <typename T>
+using ValueRuns = std::vector<std::pair<T, uint64_t>>;
+
+/// What an observed run saw of one branch, in physical units. The stage
+/// count vectors parallel the branch's stage vectors.
+struct BranchObservation {
+  struct Input {  ///< one per Branch::inputs entry
+    uint64_t records = 0;  ///< rows read
+    uint64_t bytes = 0;    ///< serialized bytes read
+    std::vector<StageCounts> map_stages;
+  };
+  std::vector<Input> inputs;
+  std::vector<StageCounts> merged_map_stages;
+  std::vector<StageCounts> reduce_stages;
+  /// Shuffle branches: the map output before any combiner, and the runs of
+  /// its K2 group hashes.
+  uint64_t map_output_records = 0;
+  uint64_t map_output_bytes = 0;
+  ValueRuns<uint64_t> group_runs;
+  /// Per map-output field: the runs of its values over the map output (a
+  /// map-only branch's output); nullopt for a field that carries a string.
+  std::vector<std::optional<ValueRuns<double>>> field_runs;
+};
+
 /// Executes single jobs against a Dfs. The pool, when given, is borrowed
 /// for the duration of each Run call.
 class JobRunner {
@@ -45,8 +82,12 @@ class JobRunner {
 
   /// Runs `job`, reading inputs from and writing outputs to `dfs`. The plan
   /// provides dataset schemas and layouts. Returns the observed dataflow.
-  Result<JobDataflow> Run(const Plan& plan, const JobVertex& job,
-                          Dfs* dfs) const;
+  /// When `observation` is non-null it is overwritten with what the run
+  /// saw of each branch, in JobVertex::branches order; a null one costs the
+  /// run only null checks.
+  Result<JobDataflow> Run(
+      const Plan& plan, const JobVertex& job, Dfs* dfs,
+      std::vector<BranchObservation>* observation = nullptr) const;
 
   /// Upper bound on map tasks materialized per input group (shared with
   /// the what-if engine so predictions match observations).

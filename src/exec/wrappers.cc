@@ -18,14 +18,17 @@ struct PipelineRunner::Node : public Emitter {
 
   Emitter* next = nullptr;  // next node or final output
   double cpu_weight = 1.0;
-  PipelineCounters* counters = nullptr;
-  bool is_last = false;
+  double* cpu_units = nullptr;
+  StageCounts* stage_counts = nullptr;  // set only when the caller observes
 
   void Forward(Row row) {
     if (tee != nullptr && !tee_dataset.empty()) {
       tee->TeeEmit(tee_dataset, row);
     }
-    if (is_last) counters->rows_out++;
+    if (stage_counts != nullptr) {
+      stage_counts->records_out++;
+      stage_counts->bytes_out += row.SerializedSize();
+    }
     next->Emit(std::move(row));
   }
 
@@ -37,7 +40,11 @@ struct PipelineRunner::Node : public Emitter {
   };
 
   void Emit(Row row) override {
-    counters->cpu_units += cpu_weight;
+    *cpu_units += cpu_weight;
+    if (stage_counts != nullptr) {
+      stage_counts->records_in++;
+      stage_counts->bytes_in += row.SerializedSize();
+    }
     ForwardEmitter fwd(this);
     if (kind == Stage::Kind::kMap) {
       map_fn->Map(row, &fwd);
@@ -53,6 +60,7 @@ struct PipelineRunner::Node : public Emitter {
 
   void FlushGroup() {
     if (!has_group) return;
+    if (stage_counts != nullptr) stage_counts->groups++;
     ForwardEmitter fwd(this);
     Row key = group_buffer.front().Project(key_indices);
     reduce_fn->Reduce(key, group_buffer, &fwd);
@@ -73,9 +81,10 @@ struct PipelineRunner::Node : public Emitter {
 
 Result<std::unique_ptr<PipelineRunner>> PipelineRunner::Make(
     const std::vector<Stage>& stages, const Schema& input_schema,
-    Emitter* out, TeeSink* tee) {
+    Emitter* out, TeeSink* tee, std::vector<StageCounts>* stage_counts) {
   std::unique_ptr<PipelineRunner> runner(new PipelineRunner());
   runner->final_out_ = out;
+  if (stage_counts != nullptr) stage_counts->assign(stages.size(), {});
 
   Schema cur = input_schema;
   for (const Stage& s : stages) {
@@ -83,7 +92,10 @@ Result<std::unique_ptr<PipelineRunner>> PipelineRunner::Make(
     node->kind = s.kind;
     node->tee_dataset = s.tee_dataset;
     node->tee = tee;
-    node->counters = &runner->counters_;
+    node->cpu_units = &runner->cpu_units_;
+    if (stage_counts != nullptr) {
+      node->stage_counts = &(*stage_counts)[runner->nodes_.size()];
+    }
     if (s.kind == Stage::Kind::kMap) {
       node->map_fn = s.map_fn->Clone();
       node->map_fn->Setup();
@@ -107,7 +119,6 @@ Result<std::unique_ptr<PipelineRunner>> PipelineRunner::Make(
                         ? static_cast<Emitter*>(runner->nodes_[i + 1].get())
                         : out;
     runner->nodes_[i]->next = next;
-    runner->nodes_[i]->is_last = (i + 1 == runner->nodes_.size());
   }
   return runner;
 }
@@ -115,9 +126,7 @@ Result<std::unique_ptr<PipelineRunner>> PipelineRunner::Make(
 PipelineRunner::~PipelineRunner() = default;
 
 void PipelineRunner::Emit(Row row) {
-  counters_.rows_in++;
   if (nodes_.empty()) {
-    counters_.rows_out++;
     final_out_->Emit(std::move(row));
     return;
   }

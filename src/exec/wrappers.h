@@ -22,12 +22,23 @@ class TeeSink {
   virtual void TeeEmit(const std::string& dataset_id, const Row& row) = 0;
 };
 
-/// Counters accumulated while a pipeline runs (physical units; the caller
-/// scales them).
-struct PipelineCounters {
-  double cpu_units = 0.0;
-  uint64_t rows_in = 0;
-  uint64_t rows_out = 0;
+/// What one stage of a running pipeline saw, in physical units: records
+/// and serialized bytes in and out, and the groups a kReduce stage flushed
+/// (0 for a kMap stage).
+struct StageCounts {
+  uint64_t records_in = 0;
+  uint64_t bytes_in = 0;
+  uint64_t records_out = 0;
+  uint64_t bytes_out = 0;
+  uint64_t groups = 0;
+
+  void Add(const StageCounts& other) {
+    records_in += other.records_in;
+    bytes_in += other.bytes_in;
+    records_out += other.records_out;
+    bytes_out += other.bytes_out;
+    groups += other.groups;
+  }
 };
 
 /// Executes a stage pipeline over a stream of rows. Feed rows via Emit();
@@ -38,10 +49,13 @@ class PipelineRunner : public Emitter {
  public:
   /// Builds a runner; resolves kReduce grouping fields against the evolving
   /// stream schema. `out` receives final rows; `tee` (may be null when the
-  /// pipeline has no tee stages) receives side-output rows.
+  /// pipeline has no tee stages) receives side-output rows. When
+  /// `stage_counts` is non-null it is reset to one zeroed entry per stage,
+  /// and each stage counts into its entry while the runner lives.
   static Result<std::unique_ptr<PipelineRunner>> Make(
       const std::vector<Stage>& stages, const Schema& input_schema,
-      Emitter* out, TeeSink* tee);
+      Emitter* out, TeeSink* tee,
+      std::vector<StageCounts>* stage_counts = nullptr);
 
   ~PipelineRunner() override;
 
@@ -51,7 +65,8 @@ class PipelineRunner : public Emitter {
   /// Flushes buffered groups and runs Finish hooks, in stage order.
   void Finish();
 
-  const PipelineCounters& counters() const { return counters_; }
+  /// CPU units the stages spent so far (physical; the caller scales them).
+  double cpu_units() const { return cpu_units_; }
 
  private:
   PipelineRunner() = default;
@@ -59,7 +74,7 @@ class PipelineRunner : public Emitter {
   struct Node;
   std::vector<std::unique_ptr<Node>> nodes_;
   Emitter* final_out_ = nullptr;
-  PipelineCounters counters_;
+  double cpu_units_ = 0.0;
 };
 
 /// Applies a combine function to a bucket of rows that is already sorted on

@@ -288,8 +288,8 @@ std::vector<int> CanonicalPrunePartitions(const std::vector<int>& prune);
 /// reads, in read order: every partition when `prune` is empty, otherwise
 /// CanonicalPrunePartitions(prune). An entry naming a partition the dataset
 /// does not have means the plan and the stored data disagree; skipping it
-/// would under-read the input, so it is InvalidArgument. The executor and
-/// the profiler both read pruned inputs through this.
+/// would under-read the input, so it is InvalidArgument. The executor reads
+/// pruned inputs through this (the profiler observes the executor's run).
 Result<std::vector<int>> SelectedPartitions(const StoredDataset& ds,
                                             const std::vector<int>& prune);
 

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <utility>
 
+#include "common/strings.h"
 #include "common/threading.h"
 #include "exec/job_runner.h"
 #include "reuse/result_store.h"
@@ -283,9 +286,86 @@ Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool) {
   return obs;
 }
 
+/// Job-by-job observed execution of a workload's plan: every count, hash
+/// run and value run each job's observation holds, as text (values as hex
+/// floats, so equal text means equal bits), and the runs' dataflow.
+struct Observed {
+  std::string observation;
+  std::string dataflow;
+};
+
+Result<Observed> ObserveWorkload(const Workload& w, ThreadPool* pool) {
+  Dfs dfs = w.dfs;
+  JobRunner runner(w.plan.cluster(), pool);
+  STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> order,
+                          w.plan.TopologicalOrder());
+  Observed got;
+  std::string& out = got.observation;
+  auto counts = [&](const char* what, const std::vector<StageCounts>& cs) {
+    out += what;
+    for (const StageCounts& c : cs) {
+      out += StrFormat(" %llu/%llu/%llu/%llu/%llu",
+                       static_cast<unsigned long long>(c.records_in),
+                       static_cast<unsigned long long>(c.bytes_in),
+                       static_cast<unsigned long long>(c.records_out),
+                       static_cast<unsigned long long>(c.bytes_out),
+                       static_cast<unsigned long long>(c.groups));
+    }
+    out += "\n";
+  };
+  for (const std::string& jid : order) {
+    STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, w.plan.GetJob(jid));
+    std::vector<BranchObservation> obs;
+    STUBBY_ASSIGN_OR_RETURN(JobDataflow df,
+                            runner.Run(w.plan, *job, &dfs, &obs));
+    got.dataflow += df.ToString() + "\n";
+    for (const BranchObservation& b : obs) {
+      out += jid + "\n";
+      for (const BranchObservation::Input& in : b.inputs) {
+        out += StrFormat("in %llu %llu",
+                         static_cast<unsigned long long>(in.records),
+                         static_cast<unsigned long long>(in.bytes));
+        counts("", in.map_stages);
+      }
+      counts("merged", b.merged_map_stages);
+      counts("reduce", b.reduce_stages);
+      out += StrFormat("map_output %llu %llu groups",
+                       static_cast<unsigned long long>(b.map_output_records),
+                       static_cast<unsigned long long>(b.map_output_bytes));
+      for (const auto& [hash, n] : b.group_runs) {
+        out += StrFormat(" %llx:%llu", static_cast<unsigned long long>(hash),
+                         static_cast<unsigned long long>(n));
+      }
+      out += "\n";
+      for (const std::optional<ValueRuns<double>>& runs : b.field_runs) {
+        out += runs ? "values" : "string";
+        for (const auto& [v, n] : runs ? *runs : ValueRuns<double>{}) {
+          out += StrFormat(" %a:%llu", v, static_cast<unsigned long long>(n));
+        }
+        out += "\n";
+      }
+    }
+  }
+  return got;
+}
+
+/// Where two long texts first differ, with some context.
+std::string FirstDifference(const std::string& a, const std::string& b) {
+  size_t i = static_cast<size_t>(
+      std::mismatch(a.begin(), a.begin() + std::min(a.size(), b.size()),
+                    b.begin())
+          .first -
+      a.begin());
+  size_t from = i < 80 ? 0 : i - 80;
+  return "at byte " + std::to_string(i) + ": ..." + a.substr(from, 160) +
+         "\n  vs ..." + b.substr(from, 160);
+}
+
 /// The executor's determinism contract over all eight Table 1 workloads:
 /// a 4-thread run is bit-identical to a 1-thread run in outputs (raw
-/// order, no canonical sort), per-job dataflow accounting, and makespan.
+/// order, no canonical sort), per-job dataflow accounting, and makespan;
+/// so is what an observed run records for the profiler, and observing a
+/// run leaves its dataflow as it is.
 TEST(WorkflowRunnerTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
   for (const std::string& abbr : AllWorkloadAbbrs()) {
     WorkloadOptions wopts;
@@ -307,6 +387,18 @@ TEST(WorkflowRunnerTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
     EXPECT_EQ(one->dataflow, four->dataflow) << abbr;
     EXPECT_TRUE(SameDoubleBits(one->makespan, four->makespan))
         << abbr << ": " << one->makespan << " vs " << four->makespan;
+
+    auto observed_one = ObserveWorkload(*w, &serial);
+    ASSERT_TRUE(observed_one.ok()) << abbr << " t1: " << observed_one.status();
+    auto observed_four = ObserveWorkload(*w, &parallel);
+    ASSERT_TRUE(observed_four.ok())
+        << abbr << " t4: " << observed_four.status();
+    EXPECT_TRUE(observed_one->observation == observed_four->observation)
+        << abbr << " observation differs between 1 and 4 threads "
+        << FirstDifference(observed_one->observation,
+                           observed_four->observation);
+    EXPECT_EQ(observed_one->dataflow, one->dataflow) << abbr;
+    EXPECT_EQ(observed_four->dataflow, one->dataflow) << abbr;
   }
 }
 

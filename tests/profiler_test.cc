@@ -1,7 +1,10 @@
 // Tests for profiler/: measured stage statistics, histograms with heavy
-// hitters, group cardinality, predicted combining, and pruned-input reads.
+// hitters, group cardinality, predicted combining, pruned-input reads, and
+// every recorded annotation pinned bit for bit.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "common/strings.h"
 #include "cost/whatif.h"
@@ -11,6 +14,8 @@ namespace stubby {
 namespace {
 
 using ::stubby::testing::MakeChain;
+using ::stubby::testing::MakeSelectiveJoin;
+using ::stubby::testing::MakeSiblings;
 using ::stubby::testing::ProfileInPlace;
 
 TEST(ProfilerTest, StageStatsMeasureSelectivity) {
@@ -48,40 +53,57 @@ TEST(ProfilerTest, StageStatsMeasureSelectivity) {
   EXPECT_NEAR(reduce.stats->groups_per_record, 10.0 / 1600.0, 0.005);
 }
 
-/// Everything ProfileJob records for a one-branch, one-input job, at full
-/// precision.
+/// Everything the profiler records for a job, at full precision: every
+/// branch's profile and the stats of every stage of every input, merged
+/// stages and the reduce side included.
 std::string ProfileFingerprint(const JobVertex& job) {
-  const Branch& b = job.branches[0];
-  const ProfileAnnotation& p = *b.annotations.profile;
-  std::string out = StrFormat("rec_bytes=%.17g groups=%.17g top=%.17g\n",
-                              p.avg_input_record_bytes, p.k2_distinct_groups,
-                              p.k2_max_group_fraction);
-  for (const KeyHistogram& h : p.key_histograms) {
-    out += StrFormat("%s [%.17g,%.17g] distinct=%llu top=%.17g:",
-                     h.field.c_str(), h.min, h.max,
-                     static_cast<unsigned long long>(h.distinct),
-                     h.max_key_fraction);
-    for (double f : h.bucket_fractions) out += StrFormat(" %.17g", f);
-    for (const auto& [v, f] : h.heavy_hitters) {
-      out += StrFormat(" (%.17g:%.17g)", v, f);
+  std::string out;
+  auto stage_line = [&](const std::string& side, const Stage& s) {
+    out += StrFormat("  %s %s sel=%.17g bsel=%.17g groups=%.17g cpu=%.17g\n",
+                     side.c_str(), s.name().c_str(),
+                     s.stats->record_selectivity, s.stats->byte_selectivity,
+                     s.stats->groups_per_record, s.stats->cpu_per_record);
+  };
+  for (const Branch& b : job.branches) {
+    const ProfileAnnotation& p = *b.annotations.profile;
+    out += StrFormat(
+        "%s: rec_bytes=%.17g groups=%.17g top=%.17g combine_cpu=%.17g\n",
+        b.tag.c_str(), p.avg_input_record_bytes, p.k2_distinct_groups,
+        p.k2_max_group_fraction, p.combine_cpu_per_record);
+    for (const KeyHistogram& h : p.key_histograms) {
+      out += StrFormat("  %s [%.17g,%.17g] distinct=%llu top=%.17g:",
+                       h.field.c_str(), h.min, h.max,
+                       static_cast<unsigned long long>(h.distinct),
+                       h.max_key_fraction);
+      for (double f : h.bucket_fractions) out += StrFormat(" %.17g", f);
+      for (const auto& [v, f] : h.heavy_hitters) {
+        out += StrFormat(" (%.17g:%.17g)", v, f);
+      }
+      out += "\n";
     }
-    out += "\n";
-  }
-  std::vector<const Stage*> stages;
-  for (const Stage& s : b.inputs[0].map_stages) stages.push_back(&s);
-  for (const Stage& s : b.reduce_stages) stages.push_back(&s);
-  for (const Stage* s : stages) {
-    out += StrFormat("%s sel=%.17g bsel=%.17g groups=%.17g\n",
-                     s->name().c_str(), s->stats->record_selectivity,
-                     s->stats->byte_selectivity, s->stats->groups_per_record);
+    for (size_t ii = 0; ii < b.inputs.size(); ++ii) {
+      for (const Stage& s : b.inputs[ii].map_stages) {
+        stage_line("in" + std::to_string(ii), s);
+      }
+    }
+    for (const Stage& s : b.merged_map_stages) stage_line("merged", s);
+    for (const Stage& s : b.reduce_stages) stage_line("reduce", s);
   }
   return out;
 }
 
-TEST(ProfilerTest, PrunedInputProfilesTheExecutedPartitionSet) {
-  // A prune list names a partition set, as the executor reads it:
-  // duplicates and order do not change what is profiled, and an entry
-  // naming a partition the input does not have is an error.
+/// ProfileFingerprint of every job of `plan`, in job-id order.
+std::string PlanFingerprint(const Plan& plan) {
+  std::string out;
+  for (const auto& [id, job] : plan.jobs()) {
+    out += id + ":\n" + ProfileFingerprint(job);
+  }
+  return out;
+}
+
+/// One job counting the rows of each key of a range-partitioned input
+/// whose x passes a filter, reading the partitions `prune` names.
+Result<WorkflowFactory> MakePrunedScan(std::vector<int> prune) {
   ClusterSpec cluster;
   WorkflowFactory f(cluster);
   Schema schema({"k", "x"});
@@ -97,23 +119,33 @@ TEST(ProfilerTest, PrunedInputProfilesTheExecutedPartitionSet) {
   range.split_points = {Row{int64_t{30}}, Row{int64_t{60}}};
   Layout layout;
   layout.partitioning = range;
-  ASSERT_TRUE(f.AddBase("IN", schema, layout, 3, rows, testing::kGB).ok());
-  ASSERT_TRUE(f.AddDataset("OUT", Schema({"k", "c"}), true).ok());
+  STUBBY_RETURN_NOT_OK(f.AddBase("IN", schema, layout, 3, rows, testing::kGB));
+  STUBBY_RETURN_NOT_OK(f.AddDataset("OUT", Schema({"k", "c"}), true));
   WorkflowFactory::JobDef j;
   j.id = "J";
-  j.inputs = {In("IN", {Stage::Map(FilterRangeMap("f", schema, "x", 0, 50))})};
+  BranchInput in =
+      In("IN", {Stage::Map(FilterRangeMap("f", schema, "x", 0, 50))});
+  in.prune_partitions = std::move(prune);
+  j.inputs = {in};
   j.map_output_schema = schema;
   j.reduce_stages = {Stage::Reduce(
       AggReduce("count", schema, {"k"}, {{"x", AggOp::kCount, "c"}}), {"k"})};
   j.output = "OUT";
-  ASSERT_TRUE(f.AddJob(std::move(j)).ok());
+  STUBBY_RETURN_NOT_OK(f.AddJob(std::move(j)));
+  return f;
+}
 
-  Profiler profiler(cluster);
+TEST(ProfilerTest, PrunedInputProfilesTheExecutedPartitionSet) {
+  // A prune list names a partition set, as the executor reads it:
+  // duplicates and order do not change what is profiled, and an entry
+  // naming a partition the input does not have is an error.
   auto profile_with = [&](std::vector<int> prune) -> Result<std::string> {
-    JobVertex job = *(*f.plan().GetJob("J"));
-    job.branches[0].inputs[0].prune_partitions = std::move(prune);
-    STUBBY_RETURN_NOT_OK(profiler.ProfileJob(f.plan(), &job, f.dfs()));
-    return ProfileFingerprint(job);
+    STUBBY_ASSIGN_OR_RETURN(WorkflowFactory f, MakePrunedScan(prune));
+    Plan plan = f.plan();
+    Dfs dfs = f.dfs();
+    STUBBY_RETURN_NOT_OK(Profiler(ClusterSpec{}).ProfilePlan(&plan, &dfs));
+    STUBBY_ASSIGN_OR_RETURN(const JobVertex* job, plan.GetJob("J"));
+    return ProfileFingerprint(*job);
   };
   auto want = profile_with({0, 1});
   ASSERT_TRUE(want.ok()) << want.status();
@@ -129,6 +161,43 @@ TEST(ProfilerTest, PrunedInputProfilesTheExecutedPartitionSet) {
   EXPECT_NE(*all, *want);
 
   EXPECT_TRUE(profile_with({0, 17}).status().IsInvalidArgument());
+}
+
+TEST(ProfilerTest, AnnotationsMatchRecordedBits) {
+  // Every annotation the profiler writes, hashed over its full-precision
+  // fingerprint and pinned: plans annotated by one build must price the
+  // same in the next. The fixtures draw their data with Rng::NextInt and
+  // Rng::NextDouble only (integer arithmetic and one multiply), so no libm
+  // result reaches an annotation. The chain pins one value with the
+  // combiner off and on: its grouped stage is recorded against the
+  // pre-combine map output.
+  auto chain_with_combiner = []() -> Result<WorkflowFactory> {
+    STUBBY_ASSIGN_OR_RETURN(WorkflowFactory f, MakeChain());
+    STUBBY_ASSIGN_OR_RETURN(JobVertex * jp, f.plan().GetMutableJob("Jp"));
+    jp->config.use_combiner = true;
+    return f;
+  };
+  std::vector<std::pair<std::string, Result<WorkflowFactory>>> fixtures;
+  fixtures.emplace_back("chain", MakeChain());
+  fixtures.emplace_back("chain+combiner", chain_with_combiner());
+  fixtures.emplace_back("siblings", MakeSiblings());
+  fixtures.emplace_back("pruned", MakePrunedScan({0, 1}));
+  fixtures.emplace_back("selective_join", MakeSelectiveJoin());
+  const std::map<std::string, uint64_t> recorded = {
+      {"chain", 0x2abc6f73a400a107ull},
+      {"chain+combiner", 0x2abc6f73a400a107ull},
+      {"siblings", 0x2f21db747ff1e50aull},
+      {"pruned", 0x22c22879305e2791ull},
+      {"selective_join", 0xbfa6d34651ed0ae1ull}};
+  for (auto& [name, f] : fixtures) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(f.ok()) << f.status();
+    Plan plan = f->plan();
+    Dfs dfs = f->dfs();
+    ASSERT_TRUE(Profiler(ClusterSpec{}).ProfilePlan(&plan, &dfs).ok());
+    const std::string fingerprint = PlanFingerprint(plan);
+    EXPECT_EQ(HashString(fingerprint), recorded.at(name)) << fingerprint;
+  }
 }
 
 TEST(ProfilerTest, ProfileCarriesHistogramsAndGroups) {

@@ -131,6 +131,59 @@ inline Result<WorkflowFactory> MakeSiblings(int rows = 4000,
   return f;
 }
 
+/// A selective inner join: R is filtered to a 20-wide key window over a
+/// 200-key space (the build side), S is four times R's logical size and
+/// unfiltered (the probe side) — roughly 90% of S's rows have no join
+/// partner and exist only to be shuffled and discarded, unless the
+/// bloom-transfer transformation drops them map-side.
+inline Result<WorkflowFactory> MakeSelectiveJoin() {
+  ClusterSpec cluster;
+  WorkflowFactory f(cluster);
+  Rng rng(77);
+  Schema base({"K", "G", "V"});
+  auto rows_of = [&](int n) {
+    std::vector<Row> rows;
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(Row{Value(rng.NextInt(0, 199)), Value(rng.NextInt(0, 9)),
+                         Value(rng.NextInt(0, 99))});
+    }
+    return rows;
+  };
+  STUBBY_RETURN_NOT_OK(
+      f.AddBase("R", base, Layout{}, 4, rows_of(400), kGB));
+  STUBBY_RETURN_NOT_OK(
+      f.AddBase("S", base, Layout{}, 4, rows_of(3000), 4 * kGB));
+
+  Schema tagged({"K", "G", "V", "T"});
+  std::vector<AggSpec> aggs = {{"V", AggOp::kSum, "BS"}};
+  STUBBY_RETURN_NOT_OK(
+      f.AddDataset("OUT", AggOutputSchema({"K"}, aggs), true));
+
+  WorkflowFactory::JobDef j;
+  j.id = "JB";
+  j.inputs = {
+      In("R", {Stage::Map(FilterRangeMap("filter_r", base, "K", 40, 60)),
+               Stage::Map(AppendConstMap("tag_r", base, "T",
+                                         Value(static_cast<int64_t>(0))))}),
+      In("S", {Stage::Map(AppendConstMap("tag_s", base, "T",
+                                         Value(static_cast<int64_t>(1))))})};
+  j.map_output_schema = tagged;
+  j.reduce_stages = {Stage::Reduce(
+      InnerJoinReduce("join_jb", tagged, {"K"}, "T", {0, 1}, aggs), {"K"})};
+  JoinAnnotation ja;
+  ja.filterable_inputs = {0, 1};
+  j.join_ann = ja;
+  FilterAnnotation fa;
+  fa.field = "K";
+  fa.lo = 40;
+  fa.hi = 60;
+  j.filter_ann = fa;
+  j.output = "OUT";
+  STUBBY_RETURN_NOT_OK(f.AddJob(std::move(j)));
+  STUBBY_RETURN_NOT_OK(f.plan().Validate());
+  return f;
+}
+
 /// Profiles a plan in place against the factory's data.
 inline void ProfileInPlace(WorkflowFactory* f) {
   Profiler profiler(ClusterSpec{});

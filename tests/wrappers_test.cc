@@ -24,8 +24,45 @@ TEST(PipelineRunnerTest, EmptyPipelinePassesThrough) {
   (*runner)->Emit(Row{int64_t{1}});
   (*runner)->Finish();
   ASSERT_EQ(out.rows().size(), 1u);
-  EXPECT_EQ((*runner)->counters().rows_in, 1u);
-  EXPECT_EQ((*runner)->counters().rows_out, 1u);
+}
+
+TEST(PipelineRunnerTest, CountsEachStageWhenAsked) {
+  // A filter then a grouped count: each stage counts the records and bytes
+  // it takes and emits, and the grouped stage the groups it flushes.
+  Schema in({"k", "x"});
+  std::vector<Stage> stages = {
+      Stage::Map(FilterRangeMap("f", in, "x", 0, 10)),
+      Stage::Reduce(AggReduce("count", in, {"k"}, {{"x", AggOp::kCount, "c"}}),
+                    {"k"})};
+  std::vector<Row> rows = {Row{int64_t{1}, int64_t{5}},
+                           Row{int64_t{1}, int64_t{50}},
+                           Row{int64_t{1}, int64_t{7}},
+                           Row{int64_t{2}, int64_t{3}}};
+  std::vector<StageCounts> counts = {StageCounts{}};  // reset by Make
+  VectorEmitter out;
+  auto runner = PipelineRunner::Make(stages, in, &out, nullptr, &counts);
+  ASSERT_TRUE(runner.ok());
+  for (const Row& r : rows) (*runner)->Emit(r);
+  (*runner)->Finish();
+  ASSERT_EQ(counts.size(), 2u);
+  ASSERT_EQ(out.rows().size(), 2u);
+
+  auto bytes = [](const std::vector<Row>& rs) {
+    uint64_t b = 0;
+    for (const Row& r : rs) b += r.SerializedSize();
+    return b;
+  };
+  std::vector<Row> kept = {rows[0], rows[2], rows[3]};
+  EXPECT_EQ(counts[0].records_in, 4u);
+  EXPECT_EQ(counts[0].bytes_in, bytes(rows));
+  EXPECT_EQ(counts[0].records_out, 3u);
+  EXPECT_EQ(counts[0].bytes_out, bytes(kept));
+  EXPECT_EQ(counts[0].groups, 0u);
+  EXPECT_EQ(counts[1].records_in, 3u);
+  EXPECT_EQ(counts[1].bytes_in, bytes(kept));
+  EXPECT_EQ(counts[1].records_out, 2u);
+  EXPECT_EQ(counts[1].bytes_out, bytes(out.rows()));
+  EXPECT_EQ(counts[1].groups, 2u);
 }
 
 TEST(PipelineRunnerTest, MapStageTransformsRows) {
@@ -121,7 +158,7 @@ TEST(PipelineRunnerTest, CpuUnitsAccumulatePerStage) {
   ASSERT_TRUE(runner.ok());
   for (int i = 0; i < 5; ++i) (*runner)->Emit(Row{int64_t{i}});
   (*runner)->Finish();
-  EXPECT_DOUBLE_EQ((*runner)->counters().cpu_units, 5 * 2.0 + 5 * 2.0);
+  EXPECT_DOUBLE_EQ((*runner)->cpu_units(), 5 * 2.0 + 5 * 2.0);
 }
 
 TEST(RunCombinerTest, CombinesSortedRuns) {
