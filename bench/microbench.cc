@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and optimizer: row handling, partitioning, pipeline execution, the
 // cluster scheduler, plan signatures, what-if costing, RRS — the inner
-// loops that bound the optimizer overhead reported in Figure 13 — and
-// profiling against plain execution.
+// loops that bound the optimizer overhead reported in Figure 13 — the
+// executor's key sort, and profiling against plain execution.
 
 #include <benchmark/benchmark.h>
 
@@ -264,6 +264,45 @@ void BM_JobRunnerBR(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JobRunnerBR)->Unit(benchmark::kMillisecond);
+
+// The reduce-side sort on an input shaped like BR J1's: 30,000 rows of
+// three int key fields (and a value) arriving as sorted pieces of 4 rows,
+// one per map task. row_sort:0 is StableSortOnFields; row_sort:1 is the
+// reference leg, std::stable_sort of whole rows with CompareOnFields.
+void BM_StableSortOnFields(benchmark::State& state) {
+  Rng rng(5);
+  const std::vector<size_t> keys = {0, 1, 2};
+  auto less = [&](const Row& a, const Row& b) {
+    return CompareOnFields(a, b, keys) < 0;
+  };
+  std::vector<Row> input;
+  input.reserve(30000);
+  for (int piece = 0; piece < 7500; ++piece) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 4; ++i) {
+      rows.push_back(Row{rng.NextInt(0, 999), rng.NextInt(0, 99),
+                         rng.NextInt(0, 9), rng.NextDouble(0, 1)});
+    }
+    std::stable_sort(rows.begin(), rows.end(), less);
+    input.insert(input.end(), rows.begin(), rows.end());
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Row> rows = input;
+    state.ResumeTiming();
+    if (state.range(0) == 0) {
+      StableSortOnFields(&rows, keys);
+    } else {
+      std::stable_sort(rows.begin(), rows.end(), less);
+    }
+    benchmark::DoNotOptimize(rows.data());
+  }
+}
+BENCHMARK(BM_StableSortOnFields)
+    ->ArgName("row_sort")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PlanSignature(benchmark::State& state) {
   WorkloadOptions options;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "common/threading.h"
 #include "exec/wrappers.h"
@@ -23,8 +22,7 @@ uint64_t RowsBytes(const std::vector<Row>& rows) {
 }
 
 /// Sorts `runs` on value and folds runs of equal values into one.
-template <typename T>
-void FoldRuns(ValueRuns<T>* runs) {
+void FoldRuns(ValueRuns<double>* runs) {
   std::sort(runs->begin(), runs->end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t n = 0;
@@ -158,7 +156,9 @@ struct ShuffleBucket {
 struct ShuffledOutput {
   uint64_t out_bytes = 0;
   size_t out_records = 0;
-  std::vector<uint64_t> group_hashes;  ///< one per map-output row
+  /// One K2 group hash per map-output row, in output order; only when the
+  /// branch's combiner runs or the run is observed (nothing else reads them).
+  std::vector<uint64_t> group_hashes;
   std::vector<ShuffleBucket> buckets;  ///< ascending r, non-empty only
 };
 
@@ -249,9 +249,13 @@ Result<JobDataflow> JobRunner::Run(
     std::vector<double> bucket_scaled_records;    // pre-combine, logical
     std::vector<uint64_t> bucket_physical_records;       // pre-combine
     std::vector<uint64_t> bucket_physical_post_records;  // after combiner
-    // Combine-effectiveness model inputs: distinct group keys seen and the
-    // logical record count each map task contributed.
-    std::set<uint64_t> group_hashes;
+    // Combine-effectiveness model inputs. group_hashes: every shuffle
+    // piece's K2 group hashes, appended in task order and sorted once after
+    // the map phase; its count of distinct values is the model's G (an
+    // observed run keeps its runs). task_logical_records: the logical
+    // record count each map task contributed.
+    std::vector<uint64_t> group_hashes;
+    size_t distinct_groups = 0;
     std::vector<double> task_logical_records;
     double raw_scaled_records = 0.0;  // pre-combine map output (logical)
     double raw_scaled_bytes = 0.0;
@@ -315,12 +319,15 @@ Result<JobDataflow> JobRunner::Run(
                              std::vector<Row> rows) -> ShuffledOutput {
     const Branch& b = job.branches[bi];
     const BranchState& st = bstate[bi];
+    const bool combine = job.config.use_combiner && b.combiner != nullptr;
     ShuffledOutput so;
     so.out_bytes = RowsBytes(rows);
     so.out_records = rows.size();
-    so.group_hashes.reserve(rows.size());
-    for (const Row& row : rows) {
-      so.group_hashes.push_back(HashOnFields(row, st.group_indices));
+    if (combine || observe) {
+      so.group_hashes.reserve(rows.size());
+      for (const Row& row : rows) {
+        so.group_hashes.push_back(HashOnFields(row, st.group_indices));
+      }
     }
     std::vector<std::vector<Row>> buckets(static_cast<size_t>(R));
     for (Row& row : rows) {
@@ -330,19 +337,15 @@ Result<JobDataflow> JobRunner::Run(
     for (size_t r = 0; r < buckets.size(); ++r) {
       auto& bucket = buckets[r];
       if (bucket.empty()) continue;
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [&](const Row& a, const Row& bb) {
-                         return CompareOnFields(a, bb,
-                                                st.partition_sort_indices) < 0;
-                       });
+      StableSortOnFields(&bucket, st.partition_sort_indices);
       ShuffleBucket sb;
       sb.r = r;
       sb.sorted_bytes = RowsBytes(bucket);
       sb.pre_records = bucket.size();
-      if (job.config.use_combiner && b.combiner != nullptr) {
+      if (combine) {
         double combine_cpu = 0.0;
-        bucket =
-            RunCombiner(*b.combiner, bucket, st.group_indices, &combine_cpu);
+        bucket = RunCombiner(*b.combiner, std::move(bucket), st.group_indices,
+                             &combine_cpu);
       }
       sb.rows = std::move(bucket);
       so.buckets.push_back(std::move(sb));
@@ -363,7 +366,8 @@ Result<JobDataflow> JobRunner::Run(
     st.raw_scaled_records += scaled_records;
     st.raw_scaled_bytes += scaled_bytes;
     st.task_logical_records.push_back(scaled_records);
-    for (uint64_t h : so.group_hashes) st.group_hashes.insert(h);
+    st.group_hashes.insert(st.group_hashes.end(), so.group_hashes.begin(),
+                           so.group_hashes.end());
     for (ShuffleBucket& sb : so.buckets) {
       st.bucket_scaled_bytes[sb.r] +=
           static_cast<double>(sb.sorted_bytes) * scale;
@@ -389,16 +393,13 @@ Result<JobDataflow> JobRunner::Run(
     }
   };
   // Merge side, in task order. An observed run also records a shuffle
-  // piece's pre-combine records, bytes and group hashes.
+  // piece's pre-combine records and bytes.
   auto merge_map = [&](size_t bi, MapOutput& mo, double scale) {
     if (observe) {
       BranchObservation& seen = (*observation)[bi];
       AddObservation(&seen, mo.observed);
       seen.map_output_records += mo.shuffled.out_records;
       seen.map_output_bytes += mo.shuffled.out_bytes;
-      for (uint64_t h : mo.shuffled.group_hashes) {
-        seen.group_runs.emplace_back(h, 1);
-      }
     }
     if (job.branches[bi].map_only()) {
       bstate[bi].output.Add(std::move(mo.out), scale);
@@ -485,7 +486,7 @@ Result<JobDataflow> JobRunner::Run(
         piece.status = runner.status();
         return;
       }
-      for (const Row& row : part.rows()) (*runner)->Emit(row);
+      for (const Row& row : part.rows()) (*runner)->EmitBorrowed(row);
       (*runner)->Finish();
       piece.cpu_units = (*runner)->cpu_units();
       piece.partial = std::make_unique<BloomFilter>(
@@ -638,7 +639,9 @@ Result<JobDataflow> JobRunner::Run(
       }
       for (const ChunkSeg& seg : t.segs) {
         const auto& src = seg.pd.rows();
-        for (size_t i = seg.lo; i < seg.hi; ++i) (*runner)->Emit(src[i]);
+        for (size_t i = seg.lo; i < seg.hi; ++i) {
+          (*runner)->EmitBorrowed(src[i]);
+        }
       }
       (*runner)->Finish();
       piece.cpu_units = (*runner)->cpu_units();
@@ -760,7 +763,7 @@ Result<JobDataflow> JobRunner::Run(
         res.status = runner.status();
         return;
       }
-      for (const Row& row : part.rows()) (*runner)->Emit(row);
+      for (const Row& row : part.rows()) (*runner)->EmitBorrowed(row);
       (*runner)->Finish();
       piece.cpu_units = (*runner)->cpu_units();
       piece.tee = tee.Take();
@@ -773,10 +776,7 @@ Result<JobDataflow> JobRunner::Run(
             : 1.0;
 
     // Co-aligned merge: interleave the per-input streams by sort order.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [&](const Row& a, const Row& bb) {
-                       return CompareOnFields(a, bb, ctx.merge_sort_idx) < 0;
-                     });
+    StableSortOnFields(&merged, ctx.merge_sort_idx);
     TaskTeeSink tee;
     VectorEmitter out;
     auto runner = PipelineRunner::Make(
@@ -812,6 +812,26 @@ Result<JobDataflow> JobRunner::Run(
   merge_results.clear();
   merge_tasks.clear();
 
+  // Distinct K2 groups: one sort of the hashes the merge appended. An
+  // observed run keeps their runs (the profiler's K2 statistics).
+  for (size_t bi = 0; bi < nb; ++bi) {
+    if (job.branches[bi].map_only()) continue;
+    BranchState& st = bstate[bi];
+    std::vector<uint64_t>& hashes = st.group_hashes;
+    std::sort(hashes.begin(), hashes.end());
+    ValueRuns<uint64_t>* runs =
+        observe ? &(*observation)[bi].group_runs : nullptr;
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      if (i > 0 && hashes[i] == hashes[i - 1]) {
+        if (runs != nullptr) runs->back().second++;
+        continue;
+      }
+      st.distinct_groups++;
+      if (runs != nullptr) runs->emplace_back(hashes[i], 1);
+    }
+    hashes = {};
+  }
+
   // Combine-effectiveness accounting at logical scale: a map task emitting
   // n records over G distinct groups combines down to about
   // G*(1-exp(-n/G)) records. The what-if engine uses the same model, so
@@ -821,8 +841,8 @@ Result<JobDataflow> JobRunner::Run(
     if (b.map_only()) continue;
     BranchState& st = bstate[bi];
     if (job.config.use_combiner && b.combiner != nullptr &&
-        !st.group_hashes.empty() && st.raw_scaled_records > 0) {
-      double groups = static_cast<double>(st.group_hashes.size());
+        st.distinct_groups > 0 && st.raw_scaled_records > 0) {
+      double groups = static_cast<double>(st.distinct_groups);
       double combined = 0.0;
       for (double n : st.task_logical_records) {
         if (n <= 0) continue;
@@ -883,11 +903,7 @@ Result<JobDataflow> JobRunner::Run(
         piece.had_rows = !rows.empty();
 
         // Merge the per-map sorted segments (modeled as one stable sort).
-        std::stable_sort(rows.begin(), rows.end(),
-                         [&](const Row& a, const Row& bb) {
-                           return CompareOnFields(
-                                      a, bb, st.partition_sort_indices) < 0;
-                         });
+        StableSortOnFields(&rows, st.partition_sort_indices);
         TaskTeeSink tee;
         VectorEmitter out;
         auto runner = PipelineRunner::Make(
@@ -984,7 +1000,6 @@ Result<JobDataflow> JobRunner::Run(
   }
   if (observe) {
     for (BranchObservation& seen : *observation) {
-      FoldRuns(&seen.group_runs);
       for (std::optional<ValueRuns<double>>& runs : seen.field_runs) {
         if (runs) FoldRuns(&*runs);
       }

@@ -64,7 +64,8 @@ struct BranchObservation {
   std::vector<StageCounts> merged_map_stages;
   std::vector<StageCounts> reduce_stages;
   /// Shuffle branches: the map output before any combiner, and the runs of
-  /// its K2 group hashes.
+  /// its K2 group hashes (the run-length encoding of the one sort that also
+  /// counts the combine model's groups).
   uint64_t map_output_records = 0;
   uint64_t map_output_bytes = 0;
   ValueRuns<uint64_t> group_runs;

@@ -1,5 +1,7 @@
 #include "exec/wrappers.h"
 
+#include <iterator>
+
 namespace stubby {
 
 // One stage instance inside a running pipeline. Nodes form a chain; each
@@ -39,17 +41,27 @@ struct PipelineRunner::Node : public Emitter {
     void Emit(Row row) override { node->Forward(std::move(row)); }
   };
 
-  void Emit(Row row) override {
+  void CountIn(const Row& row) {
     *cpu_units += cpu_weight;
     if (stage_counts != nullptr) {
       stage_counts->records_in++;
       stage_counts->bytes_in += row.SerializedSize();
     }
+  }
+
+  // A kMap stage only reads its input row.
+  void MapRow(const Row& row) {
+    CountIn(row);
     ForwardEmitter fwd(this);
+    map_fn->Map(row, &fwd);
+  }
+
+  void Emit(Row row) override {
     if (kind == Stage::Kind::kMap) {
-      map_fn->Map(row, &fwd);
+      MapRow(row);
       return;
     }
+    CountIn(row);
     // Streaming group-by: flush when the grouping key changes.
     if (has_group && !EqualOnFields(group_buffer.front(), row, group_indices)) {
       FlushGroup();
@@ -133,16 +145,24 @@ void PipelineRunner::Emit(Row row) {
   nodes_.front()->Emit(std::move(row));
 }
 
+void PipelineRunner::EmitBorrowed(const Row& row) {
+  if (!nodes_.empty() && nodes_.front()->kind == Stage::Kind::kMap) {
+    nodes_.front()->MapRow(row);
+    return;
+  }
+  Emit(row);
+}
+
 void PipelineRunner::Finish() {
   for (auto& node : nodes_) node->FinishNode();
 }
 
-std::vector<Row> RunCombiner(const CombineFn& fn,
-                             const std::vector<Row>& sorted_rows,
+std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> sorted_rows,
                              const std::vector<size_t>& group_indices,
                              double* cpu_units) {
   VectorEmitter out;
   std::shared_ptr<CombineFn> instance = fn.Clone();
+  std::vector<Row> group;
   size_t i = 0;
   while (i < sorted_rows.size()) {
     size_t j = i + 1;
@@ -150,8 +170,9 @@ std::vector<Row> RunCombiner(const CombineFn& fn,
            EqualOnFields(sorted_rows[i], sorted_rows[j], group_indices)) {
       ++j;
     }
-    std::vector<Row> group(sorted_rows.begin() + i, sorted_rows.begin() + j);
     Row key = sorted_rows[i].Project(group_indices);
+    group.assign(std::make_move_iterator(sorted_rows.begin() + i),
+                 std::make_move_iterator(sorted_rows.begin() + j));
     instance->Combine(key, group, &out);
     *cpu_units +=
         static_cast<double>(j - i) * instance->cpu_cost_per_record();

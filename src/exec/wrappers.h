@@ -41,7 +41,8 @@ struct StageCounts {
   }
 };
 
-/// Executes a stage pipeline over a stream of rows. Feed rows via Emit();
+/// Executes a stage pipeline over a stream of rows. Feed rows via Emit()
+/// (the pipeline takes the row) or EmitBorrowed() (the caller keeps it);
 /// call Finish() exactly once at end-of-stream (flushes group buffers and
 /// stage Finish hooks). UDFs are cloned per PipelineRunner, giving each
 /// task fresh state.
@@ -62,6 +63,12 @@ class PipelineRunner : public Emitter {
   /// Processes one input row through the pipeline.
   void Emit(Row row) override;
 
+  /// Processes one input row the caller keeps, such as a stored partition's
+  /// row that every subscribing pipeline of a shared scan reads. A leading
+  /// map stage reads it in place (MapFn::Map takes a const reference); an
+  /// empty pipeline or a leading grouped stage keeps rows, so it copies.
+  void EmitBorrowed(const Row& row);
+
   /// Flushes buffered groups and runs Finish hooks, in stage order.
   void Finish();
 
@@ -78,11 +85,12 @@ class PipelineRunner : public Emitter {
 };
 
 /// Applies a combine function to a bucket of rows that is already sorted on
-/// `group_indices`: consecutive equal-key runs are each passed through
-/// `fn`. Returns the combined rows (still sorted by construction of fn's
-/// contract). `cpu_units` accumulates records * fn weight.
-std::vector<Row> RunCombiner(const CombineFn& fn,
-                             const std::vector<Row>& sorted_rows,
+/// `group_indices`: consecutive equal-key runs are each moved into one
+/// reused group vector and passed through `fn`. The bucket is taken by
+/// value because the caller replaces it with the result. Returns the
+/// combined rows (still sorted by construction of fn's contract).
+/// `cpu_units` accumulates records * fn weight.
+std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> sorted_rows,
                              const std::vector<size_t>& group_indices,
                              double* cpu_units);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -56,6 +57,64 @@ int CompareOnFields(const Row& a, const Row& b,
     if (b[i] < a[i]) return 1;
   }
   return 0;
+}
+
+namespace {
+
+/// One sort field of one row, as Value::operator< reads it: a number as
+/// its double (an int compares as its double), or the row's string.
+struct SortKey {
+  double number = 0.0;
+  const std::string* string = nullptr;  ///< null for a number
+};
+
+/// Value::operator< on extracted keys: numbers before strings, numbers by
+/// `<` both ways (so ±0 tie), strings lexicographically.
+int CompareKeys(const SortKey& a, const SortKey& b) {
+  if (a.string == nullptr) {
+    if (b.string != nullptr) return -1;
+    if (a.number < b.number) return -1;
+    return b.number < a.number ? 1 : 0;
+  }
+  if (b.string == nullptr) return 1;
+  return a.string->compare(*b.string);
+}
+
+}  // namespace
+
+void StableSortOnFields(std::vector<Row>* rows,
+                        const std::vector<size_t>& indices) {
+  const size_t n = rows->size();
+  const size_t k = indices.size();
+  if (n < 2 || k == 0) return;
+  std::vector<SortKey> keys(n * k);
+  for (size_t i = 0; i < n; ++i) {
+    const Row& row = (*rows)[i];
+    for (size_t f = 0; f < k; ++f) {
+      const Value& v = row[indices[f]];
+      SortKey& key = keys[i * k + f];
+      if (v.is_string()) {
+        key.string = &v.AsString();
+      } else {
+        key.number = v.AsDouble();
+      }
+    }
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const SortKey* ka = &keys[a * k];
+    const SortKey* kb = &keys[b * k];
+    for (size_t f = 0; f < k; ++f) {
+      const int c = CompareKeys(ka[f], kb[f]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  std::vector<Row> sorted;
+  sorted.reserve(n);
+  for (size_t i : order) sorted.push_back(std::move((*rows)[i]));
+  rows->swap(sorted);
 }
 
 bool EqualOnFields(const Row& a, const Row& b,

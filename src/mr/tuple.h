@@ -54,6 +54,15 @@ class Row {
 int CompareOnFields(const Row& a, const Row& b,
                     const std::vector<size_t>& indices);
 
+/// Stable-sorts `rows` on the fields at `indices`, deciding every pair as
+/// CompareOnFields does, so the result equals std::stable_sort with
+/// CompareOnFields element for element. Each row's sort fields are read
+/// once into a flat key array (a number as its double, a string as a
+/// pointer into the row), a permutation of row indices is stable-sorted on
+/// those keys, and the rows are then moved into that order.
+void StableSortOnFields(std::vector<Row>* rows,
+                        const std::vector<size_t>& indices);
+
 /// True if rows agree on all fields at `indices`.
 bool EqualOnFields(const Row& a, const Row& b,
                    const std::vector<size_t>& indices);

@@ -11,6 +11,43 @@ namespace {
 // Small building blocks
 // ---------------------------------------------------------------------------
 
+/// Reads a number that must be an integer within int's range (a cast of
+/// anything else to int is undefined or silently truncates).
+Result<int> IntFromJson(const Json& j, const std::string& field) {
+  const double d = j.is_number() ? j.AsNumber() : std::nan("");
+  if (!std::isfinite(d) || d != std::floor(d) ||
+      d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("'" + field + "' is not an integer");
+  }
+  return static_cast<int>(d);
+}
+
+/// Unsigned twin of IntFromJson: an integer in [0, 2^64).
+Result<uint64_t> UintFromJson(const Json& j, const std::string& field) {
+  const double d = j.is_number() ? j.AsNumber() : std::nan("");
+  if (!std::isfinite(d) || d != std::floor(d) || d < 0 ||
+      d >= std::ldexp(1.0, 64)) {
+    return Status::InvalidArgument("'" + field +
+                                   "' is not an unsigned integer");
+  }
+  return static_cast<uint64_t>(d);
+}
+
+/// Integer field `key` of object `j` through IntFromJson; `fallback` when
+/// the field is absent.
+Result<int> IntFieldOr(const Json& j, const std::string& key, int fallback) {
+  const Json* v = j.Find(key);
+  return v == nullptr ? Result<int>(fallback) : IntFromJson(*v, key);
+}
+
+/// Unsigned twin of IntFieldOr.
+Result<uint64_t> UintFieldOr(const Json& j, const std::string& key,
+                             uint64_t fallback) {
+  const Json* v = j.Find(key);
+  return v == nullptr ? Result<uint64_t>(fallback) : UintFromJson(*v, key);
+}
+
 Json ValueToJson(const Value& v) {
   Json arr = Json::Array();
   if (v.is_int()) {
@@ -157,11 +194,13 @@ Json ConfigToJson(const JobConfig& c) {
   return j;
 }
 
-JobConfig ConfigFromJson(const Json& j) {
+Result<JobConfig> ConfigFromJson(const Json& j) {
   JobConfig c;
-  c.num_reduce_tasks = static_cast<int>(j.GetNumber("num_reduce_tasks", 1));
+  STUBBY_ASSIGN_OR_RETURN(c.num_reduce_tasks,
+                          IntFieldOr(j, "num_reduce_tasks", 1));
   c.io_sort_mb = j.GetNumber("io_sort_mb", 128);
-  c.io_sort_factor = static_cast<int>(j.GetNumber("io_sort_factor", 10));
+  STUBBY_ASSIGN_OR_RETURN(c.io_sort_factor,
+                          IntFieldOr(j, "io_sort_factor", 10));
   c.use_combiner = j.GetBool("use_combiner");
   c.compress_map_output = j.GetBool("compress_map_output");
   c.compress_output = j.GetBool("compress_output");
@@ -240,7 +279,7 @@ Json HistogramToJson(const KeyHistogram& h) {
   return j;
 }
 
-KeyHistogram HistogramFromJson(const Json& j) {
+Result<KeyHistogram> HistogramFromJson(const Json& j) {
   KeyHistogram h;
   h.field = j.GetString("field");
   h.min = j.GetNumber("min");
@@ -250,7 +289,7 @@ KeyHistogram HistogramFromJson(const Json& j) {
       h.bucket_fractions.push_back(b.AsNumber());
     }
   }
-  h.distinct = static_cast<uint64_t>(j.GetNumber("distinct"));
+  STUBBY_ASSIGN_OR_RETURN(h.distinct, UintFieldOr(j, "distinct", 0));
   h.max_key_fraction = j.GetNumber("max_key_fraction");
   if (const Json* hitters = j.Find("heavy_hitters"); hitters != nullptr) {
     for (const Json& pair : hitters->items()) {
@@ -310,7 +349,7 @@ Json AnnotationsToJson(const JobAnnotations& a) {
   return j;
 }
 
-JobAnnotations AnnotationsFromJson(const Json& j) {
+Result<JobAnnotations> AnnotationsFromJson(const Json& j) {
   JobAnnotations a;
   if (const Json* s = j.Find("schema"); s != nullptr) {
     SchemaAnnotation sa;
@@ -333,7 +372,9 @@ JobAnnotations AnnotationsFromJson(const Json& j) {
     JoinAnnotation ja;
     if (const Json* f = jn->Find("filterable"); f != nullptr) {
       for (const Json& i : f->items()) {
-        ja.filterable_inputs.push_back(static_cast<size_t>(i.AsNumber()));
+        STUBBY_ASSIGN_OR_RETURN(uint64_t input,
+                                UintFromJson(i, "filterable"));
+        ja.filterable_inputs.push_back(static_cast<size_t>(input));
       }
     }
     a.join = ja;
@@ -346,24 +387,13 @@ JobAnnotations AnnotationsFromJson(const Json& j) {
     pa.k2_max_group_fraction = p->GetNumber("k2_max_group_fraction");
     if (const Json* hists = p->Find("histograms"); hists != nullptr) {
       for (const Json& h : hists->items()) {
-        pa.key_histograms.push_back(HistogramFromJson(h));
+        STUBBY_ASSIGN_OR_RETURN(KeyHistogram histogram, HistogramFromJson(h));
+        pa.key_histograms.push_back(std::move(histogram));
       }
     }
     a.profile = pa;
   }
   return a;
-}
-
-/// Reads a number that must be an integer within int's range (a cast of
-/// anything else to int is undefined or silently truncates).
-Result<int> IntFromJson(const Json& j, const std::string& field) {
-  const double d = j.is_number() ? j.AsNumber() : std::nan("");
-  if (!std::isfinite(d) || d != std::floor(d) ||
-      d < std::numeric_limits<int>::min() ||
-      d > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("'" + field + "' is not an integer");
-  }
-  return static_cast<int>(d);
 }
 
 }  // namespace
@@ -558,11 +588,12 @@ Result<Plan> PlanFromJson(const Json& json,
   }
   ClusterSpec cluster;
   if (const Json* c = json.Find("cluster"); c != nullptr) {
-    cluster.num_nodes = static_cast<int>(c->GetNumber("num_nodes", 51));
-    cluster.map_slots_per_node =
-        static_cast<int>(c->GetNumber("map_slots_per_node", 3));
-    cluster.reduce_slots_per_node =
-        static_cast<int>(c->GetNumber("reduce_slots_per_node", 2));
+    STUBBY_ASSIGN_OR_RETURN(cluster.num_nodes,
+                            IntFieldOr(*c, "num_nodes", 51));
+    STUBBY_ASSIGN_OR_RETURN(cluster.map_slots_per_node,
+                            IntFieldOr(*c, "map_slots_per_node", 3));
+    STUBBY_ASSIGN_OR_RETURN(cluster.reduce_slots_per_node,
+                            IntFieldOr(*c, "reduce_slots_per_node", 2));
   }
   Plan plan(cluster);
 
@@ -589,13 +620,16 @@ Result<Plan> PlanFromJson(const Json& json,
         v.annotation.layout = std::move(l);
       }
       if (const Json* n = ann->Find("num_records"); n != nullptr) {
-        v.annotation.num_records = static_cast<uint64_t>(n->AsNumber());
+        STUBBY_ASSIGN_OR_RETURN(v.annotation.num_records,
+                                UintFromJson(*n, "num_records"));
       }
       if (const Json* b = ann->Find("bytes"); b != nullptr) {
-        v.annotation.bytes = static_cast<uint64_t>(b->AsNumber());
+        STUBBY_ASSIGN_OR_RETURN(v.annotation.bytes,
+                                UintFromJson(*b, "bytes"));
       }
       if (const Json* p = ann->Find("num_partitions"); p != nullptr) {
-        v.annotation.num_partitions = static_cast<int>(p->AsNumber());
+        STUBBY_ASSIGN_OR_RETURN(v.annotation.num_partitions,
+                                IntFromJson(*p, "num_partitions"));
       }
     }
     STUBBY_RETURN_NOT_OK(plan.AddDataset(std::move(v)));
@@ -609,7 +643,7 @@ Result<Plan> PlanFromJson(const Json& json,
     JobVertex job;
     job.id = j.GetString("id");
     if (const Json* c = j.Find("config"); c != nullptr) {
-      job.config = ConfigFromJson(*c);
+      STUBBY_ASSIGN_OR_RETURN(job.config, ConfigFromJson(*c));
     }
     if (const Json* cond = j.Find("conditions"); cond != nullptr) {
       job.conditions.partition_frozen = cond->GetBool("partition_frozen");
@@ -639,7 +673,8 @@ Result<Plan> PlanFromJson(const Json& json,
           in.aligned = ij.GetBool("aligned");
           if (const Json* prune = ij.Find("prune"); prune != nullptr) {
             for (const Json& p : prune->items()) {
-              in.prune_partitions.push_back(static_cast<int>(p.AsNumber()));
+              STUBBY_ASSIGN_OR_RETURN(int partition, IntFromJson(p, "prune"));
+              in.prune_partitions.push_back(partition);
             }
             in.prune_fraction = ij.GetNumber("prune_fraction", 1.0);
           }
@@ -676,22 +711,28 @@ Result<Plan> PlanFromJson(const Json& json,
       }
       if (const Json* bl = bj.Find("bloom"); bl != nullptr) {
         BloomTransferSpec spec;
-        spec.build_input = static_cast<size_t>(bl->GetNumber("build_input"));
+        STUBBY_ASSIGN_OR_RETURN(uint64_t build_input,
+                                UintFieldOr(*bl, "build_input", 0));
+        spec.build_input = static_cast<size_t>(build_input);
         if (const Json* probes = bl->Find("probe_inputs");
             probes != nullptr) {
           for (const Json& p : probes->items()) {
-            spec.probe_inputs.push_back(static_cast<size_t>(p.AsNumber()));
+            STUBBY_ASSIGN_OR_RETURN(uint64_t probe,
+                                    UintFromJson(p, "probe_inputs"));
+            spec.probe_inputs.push_back(static_cast<size_t>(probe));
           }
         }
         spec.key_fields = StringsFromJson(bl->Find("key_fields"));
-        spec.bits_log2 = static_cast<int>(bl->GetNumber("bits_log2", 20));
-        spec.num_hashes = static_cast<int>(bl->GetNumber("num_hashes", 6));
+        STUBBY_ASSIGN_OR_RETURN(spec.bits_log2,
+                                IntFieldOr(*bl, "bits_log2", 20));
+        STUBBY_ASSIGN_OR_RETURN(spec.num_hashes,
+                                IntFieldOr(*bl, "num_hashes", 6));
         spec.est_pass_fraction = bl->GetNumber("est_pass_fraction", 1.0);
         b.bloom = std::move(spec);
       }
       b.output_dataset = bj.GetString("output");
       if (const Json* ann = bj.Find("annotations"); ann != nullptr) {
-        b.annotations = AnnotationsFromJson(*ann);
+        STUBBY_ASSIGN_OR_RETURN(b.annotations, AnnotationsFromJson(*ann));
       }
       job.branches.push_back(std::move(b));
     }

@@ -263,12 +263,76 @@ bool SameDoubleBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// One execution of a workload's unoptimized plan: raw outputs plus the
-/// observables the determinism contract covers.
+/// Every field of a job's dataflow, doubles as hex floats, so equal text
+/// means equal bits.
+std::string DataflowBits(const JobDataflow& d) {
+  using ull = unsigned long long;
+  return StrFormat(
+      "%s maps=%d reduces=%d in=%llu/%llu/%llu cpu=%a mapout=%llu/%llu "
+      "combine=%llu/%llu/%a redin=%llu/%llu/%a out=%llu/%llu/%d tee=%llu "
+      "bloom=%llu/%llu/%a/%llu max=%llu/%llu nonempty=%d pipelines=%d\n",
+      d.job_id.c_str(), d.num_map_tasks, d.num_reduce_tasks,
+      static_cast<ull>(d.map_input_records),
+      static_cast<ull>(d.map_input_bytes),
+      static_cast<ull>(d.map_input_stored_bytes), d.map_cpu_units,
+      static_cast<ull>(d.map_output_records),
+      static_cast<ull>(d.map_output_bytes),
+      static_cast<ull>(d.combine_output_records),
+      static_cast<ull>(d.combine_output_bytes), d.combine_cpu_units,
+      static_cast<ull>(d.reduce_input_records),
+      static_cast<ull>(d.reduce_input_bytes), d.reduce_cpu_units,
+      static_cast<ull>(d.output_records), static_cast<ull>(d.output_bytes),
+      d.output_compressed ? 1 : 0, static_cast<ull>(d.tee_bytes),
+      static_cast<ull>(d.bloom_build_records),
+      static_cast<ull>(d.bloom_build_bytes), d.bloom_build_cpu_units,
+      static_cast<ull>(d.bloom_filter_bytes),
+      static_cast<ull>(d.max_map_task_input_bytes),
+      static_cast<ull>(d.max_reduce_input_bytes),
+      d.nonempty_reduce_partitions, d.pipelines_per_task);
+}
+
+/// Every dataset a run wrote, partition by partition in stored order, each
+/// value with its type and every bit (doubles as hex floats).
+std::string StoredBits(const Plan& plan, const Dfs& dfs) {
+  std::string out;
+  for (const auto& [id, v] : plan.datasets()) {
+    if (v.is_base_input) continue;
+    auto ds = dfs.Get(id);
+    if (!ds.ok()) continue;
+    out += StrFormat("%s scale=%a\n", id.c_str(), (*ds)->logical_scale());
+    for (size_t p = 0; p < (*ds)->num_partitions(); ++p) {
+      out += StrFormat("p%zu", p);
+      for (const Row& row : (*ds)->partition_data(p).rows()) {
+        out += " (";
+        for (size_t i = 0; i < row.size(); ++i) {
+          const Value& value = row[i];
+          if (i > 0) out += ",";
+          if (value.is_int()) {
+            out += StrFormat("i%lld", static_cast<long long>(value.AsInt()));
+          } else if (value.is_double()) {
+            out += StrFormat("d%a", value.AsDouble());
+          } else {
+            out += StrFormat("s%zu:", value.AsString().size()) +
+                   value.AsString();
+          }
+        }
+        out += ")";
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+/// One execution of a workload's plan: raw outputs plus the observables
+/// the determinism contract covers — every job's dataflow bits, every
+/// job's finish time and the makespan, and every written dataset's bits.
 struct ExecObservables {
   std::map<std::string, std::vector<Row>> outputs;
   double makespan = 0.0;
   std::string dataflow;
+  std::string finish;
+  std::string stored;
 };
 
 Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool) {
@@ -277,12 +341,16 @@ Result<ExecObservables> RunWorkload(const Workload& w, ThreadPool* pool) {
   STUBBY_ASSIGN_OR_RETURN(WorkflowDataflow flow, runner.Run(w.plan, &dfs));
   ExecObservables obs;
   obs.makespan = flow.makespan_sec;
-  for (const JobDataflow& jd : flow.jobs) obs.dataflow += jd.ToString() + "\n";
+  for (const JobDataflow& jd : flow.jobs) obs.dataflow += DataflowBits(jd);
+  for (const auto& [jid, t] : flow.job_finish_sec) {
+    obs.finish += StrFormat("%s %a\n", jid.c_str(), t);
+  }
   for (const auto& [id, v] : w.plan.datasets()) {
     if (!v.is_workflow_output) continue;
     STUBBY_ASSIGN_OR_RETURN(DatasetPtr out, dfs.Get(id));
     obs.outputs.emplace(id, out->AllRows());
   }
+  obs.stored = StoredBits(w.plan, dfs);
   return obs;
 }
 
@@ -318,7 +386,7 @@ Result<Observed> ObserveWorkload(const Workload& w, ThreadPool* pool) {
     std::vector<BranchObservation> obs;
     STUBBY_ASSIGN_OR_RETURN(JobDataflow df,
                             runner.Run(w.plan, *job, &dfs, &obs));
-    got.dataflow += df.ToString() + "\n";
+    got.dataflow += DataflowBits(df);
     for (const BranchObservation& b : obs) {
       out += jid + "\n";
       for (const BranchObservation::Input& in : b.inputs) {
@@ -385,6 +453,9 @@ TEST(WorkflowRunnerTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
           << abbr << " output " << id << " differs between 1 and 4 threads";
     }
     EXPECT_EQ(one->dataflow, four->dataflow) << abbr;
+    EXPECT_EQ(one->finish, four->finish) << abbr;
+    EXPECT_TRUE(one->stored == four->stored)
+        << abbr << " stored datasets differ between 1 and 4 threads";
     EXPECT_TRUE(SameDoubleBits(one->makespan, four->makespan))
         << abbr << ": " << one->makespan << " vs " << four->makespan;
 
@@ -399,6 +470,98 @@ TEST(WorkflowRunnerTest, IsBitIdenticalAcrossWorkloadsAndThreads) {
                            observed_four->observation);
     EXPECT_EQ(observed_one->dataflow, one->dataflow) << abbr;
     EXPECT_EQ(observed_four->dataflow, one->dataflow) << abbr;
+  }
+}
+
+/// `plan` with every job's combiner on and 16 reduce tasks, job by job
+/// wherever the plan still validates.
+Plan WithCombinerAnd16Reducers(const Plan& plan) {
+  Plan out = plan;
+  for (const auto& [jid, job] : plan.jobs()) {
+    JobVertex* edited = *out.GetMutableJob(jid);
+    edited->config.use_combiner = true;
+    edited->config.num_reduce_tasks = 16;
+    if (!out.Validate().ok()) edited->config = job.config;
+  }
+  return out;
+}
+
+/// HashString of everything a plain run and a job-by-job observed run of
+/// `w` produce: stored datasets, dataflow, finish times, makespan and
+/// observation, every value to the bit.
+Result<uint64_t> RunDigest(const Workload& w) {
+  STUBBY_ASSIGN_OR_RETURN(ExecObservables run, RunWorkload(w, nullptr));
+  STUBBY_ASSIGN_OR_RETURN(Observed observed, ObserveWorkload(w, nullptr));
+  return HashString(run.stored + run.dataflow + run.finish +
+                    StrFormat("makespan %a\n", run.makespan) +
+                    observed.observation + observed.dataflow);
+}
+
+Workload FixtureWorkload(const std::string& name, WorkflowFactory& f) {
+  return Workload{name, name, f.plan(), f.dfs(), 0};
+}
+
+/// Pins the executor's outputs to recorded bits, so a change to the data
+/// path is checked against the executor before it, not only against
+/// itself at another thread count. Each digest covers every dataset a run
+/// wrote in stored order, every job's dataflow and finish time, the
+/// makespan and the observation (see RunDigest). The values were read from
+/// the executor that still copied each input row into every pipeline,
+/// copied combine groups, counted K2 groups in a std::set and sorted whole
+/// rows with CompareOnFields.
+TEST(WorkflowRunnerTest, OutputsMatchRecordedBits) {
+  const std::map<std::string, uint64_t> recorded = {
+      {"IR", 0x6213870828382ec9ULL},
+      {"IR+c16", 0x08706f73d7ae0875ULL},
+      {"SN", 0x664176aa9fec1c29ULL},
+      {"SN+c16", 0xc17690cb8c4dc6e5ULL},
+      {"LA", 0x85736a8cec98ac23ULL},
+      {"LA+c16", 0x11641ebbbd47e930ULL},
+      {"WG", 0x9ec3c4c1b5096efeULL},
+      {"WG+c16", 0x24cf4b96419a187dULL},
+      {"BA", 0x1a5167cd79d3084bULL},
+      {"BA+c16", 0xb1c93a2524d590a3ULL},
+      {"BR", 0xa29dd8eda4659a33ULL},
+      {"BR+c16", 0x066a425fbdf3de52ULL},
+      {"PJ", 0x09e466ff6c02683dULL},
+      {"PJ+c16", 0x3f3f9b99bd19f95fULL},
+      {"US", 0x6497b6638928da57ULL},
+      {"US+c16", 0x849e0ef21b8e2740ULL},
+      {"chain", 0x2a32f1f6a4845cd2ULL},
+      {"chain+combiner", 0x4c4988cf5d790757ULL},
+      {"siblings", 0x43fa444243664be8ULL},
+  };
+  std::vector<Workload> cases;
+  for (const std::string& abbr : AllWorkloadAbbrs()) {
+    WorkloadOptions wopts;
+    wopts.sample_rows = 3000;
+    auto w = MakeWorkload(abbr, wopts);
+    ASSERT_TRUE(w.ok()) << abbr;
+    Workload tuned = *w;
+    tuned.abbr = abbr + "+c16";
+    tuned.plan = WithCombinerAnd16Reducers(w->plan);
+    cases.push_back(std::move(*w));
+    cases.push_back(std::move(tuned));
+  }
+  auto chain = MakeChain();
+  ASSERT_TRUE(chain.ok());
+  for (bool combine : {false, true}) {
+    (*chain->plan().GetMutableJob("Jp"))->config.use_combiner = combine;
+    cases.push_back(
+        FixtureWorkload(combine ? "chain+combiner" : "chain", *chain));
+  }
+  auto siblings = MakeSiblings();
+  ASSERT_TRUE(siblings.ok());
+  cases.push_back(FixtureWorkload("siblings", *siblings));
+
+  for (const Workload& w : cases) {
+    auto digest = RunDigest(w);
+    ASSERT_TRUE(digest.ok()) << w.abbr << ": " << digest.status();
+    EXPECT_EQ(StrFormat("0x%016llxULL",
+                        static_cast<unsigned long long>(*digest)),
+              StrFormat("0x%016llxULL", static_cast<unsigned long long>(
+                                            recorded.at(w.abbr))))
+        << w.abbr;
   }
 }
 

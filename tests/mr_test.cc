@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/rng.h"
 #include "mr/job_config.h"
 #include "mr/partitioner.h"
@@ -68,6 +71,60 @@ TEST(RowTest, ApproxEquality) {
   EXPECT_FALSE(RowApproxEqual(a, c));
   EXPECT_TRUE(RowsApproxEqual({a, c}, {c, b}, 1e-9));
   EXPECT_FALSE(RowsApproxEqual({a}, {a, b}, 1e-9));
+}
+
+/// A random value for sort-oracle column `kind`: 0 ints, 1 doubles,
+/// 2 strings, 3 any of these. The small domains give duplicates and hold
+/// -0.0 beside 0.0, ints above 2^53 that are equal as doubles, and ints and
+/// doubles of the same value. NaN stays out: with it neither order is a
+/// strict weak order.
+Value RandomSortValue(Rng* rng, int kind) {
+  static const int64_t kInts[] = {-3, 0, 1, 2, 7, int64_t{1} << 53,
+                                  (int64_t{1} << 53) + 1,
+                                  (int64_t{1} << 53) + 2};
+  static const double kDoubles[] = {-2.5, -0.0, 0.0, 1.0,
+                                    1.5,  2.0,  9007199254740992.0, 7.25};
+  static const char* const kStrings[] = {"", "a", "ab", "abc", "b", "ba"};
+  if (kind == 3) kind = static_cast<int>(rng->NextUint64(3));
+  if (kind == 0) return Value(kInts[rng->NextUint64(std::size(kInts))]);
+  if (kind == 1) return Value(kDoubles[rng->NextUint64(std::size(kDoubles))]);
+  return Value(kStrings[rng->NextUint64(std::size(kStrings))]);
+}
+
+TEST(RowTest, StableSortOnFieldsMatchesStableSortWithCompareOnFields) {
+  Rng rng(97);
+  for (int round = 0; round < 300; ++round) {
+    // Empty and one-row inputs first, then random sizes.
+    const size_t n = round < 2 ? static_cast<size_t>(round)
+                               : 2 + static_cast<size_t>(rng.NextUint64(300));
+    // Columns 0-3 are int, double, string and mixed; column 4 is the row's
+    // input position, so equal ids mean the same row (stability included).
+    std::vector<size_t> columns = {0, 1, 2, 3};
+    rng.Shuffle(&columns);
+    const std::vector<size_t> fields(
+        columns.begin(), columns.begin() + 1 + rng.NextUint64(3));
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<Value> values;
+      for (int kind = 0; kind < 4; ++kind) {
+        values.push_back(RandomSortValue(&rng, kind));
+      }
+      values.emplace_back(static_cast<int64_t>(i));
+      rows.emplace_back(std::move(values));
+    }
+    std::vector<Row> expected = rows;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Row& a, const Row& b) {
+                       return CompareOnFields(a, b, fields) < 0;
+                     });
+    StableSortOnFields(&rows, fields);
+    ASSERT_EQ(rows.size(), expected.size());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(rows[i][4].AsInt(), expected[i][4].AsInt())
+          << "round " << round << " position " << i;
+      ASSERT_EQ(rows[i].ToString(), expected[i].ToString());
+    }
+  }
 }
 
 TEST(SchemaTest, IndexLookup) {

@@ -7,12 +7,14 @@
 #include "optimizer/stubby.h"
 #include "test_workflows.h"
 #include "workflow/serialize.h"
+#include "workloads/registry.h"
 
 namespace stubby {
 namespace {
 
 using ::stubby::testing::ExpectEquivalent;
 using ::stubby::testing::MakeChain;
+using ::stubby::testing::MakeSelectiveJoin;
 using ::stubby::testing::MakeSiblings;
 using ::stubby::testing::ProfileInPlace;
 
@@ -153,6 +155,116 @@ TEST(SerializeTest, ImportRejectsBadPinnedReduceTaskCount) {
   for (const char* bad : {"0", "-1", "2.5", "1e300", "\"4\""}) {
     EXPECT_FALSE(ImportPlan(with_count(bad), resolver).ok())
         << "num_reduce_fixed=" << bad;
+  }
+}
+
+/// `doc` with the first `key` (depth-first, in document order) that lies
+/// inside a `within` object replaced by `value`; when the old value is an
+/// array, only its first element is replaced. `*hit` says whether one was.
+Json ReplaceFirst(const Json& doc, const std::string& within,
+                  const std::string& key, const Json& value, bool inside,
+                  bool* hit) {
+  if (doc.is_array()) {
+    Json out = Json::Array();
+    for (const Json& item : doc.items()) {
+      out.Append(ReplaceFirst(item, within, key, value, inside, hit));
+    }
+    return out;
+  }
+  if (!doc.is_object()) return doc;
+  Json out = Json::Object();
+  for (const auto& [k, v] : doc.fields()) {
+    if (!*hit && inside && k == key) {
+      *hit = true;
+      if (v.is_array() && v.size() > 0) {
+        Json items = Json::Array();
+        items.Append(value);
+        for (size_t i = 1; i < v.size(); ++i) items.Append(v.items()[i]);
+        out[k] = std::move(items);
+      } else {
+        out[k] = value;
+      }
+    } else {
+      out[k] = ReplaceFirst(v, within, key, value, inside || k == within, hit);
+    }
+  }
+  return out;
+}
+
+TEST(SerializeTest, ImportRejectsNonIntegralFields) {
+  // A plan that carries every integer field the importer reads: a profiled
+  // selective join optimized with Bloom transfer on (cluster, configs,
+  // dataset annotations, histograms, the join annotation and the Bloom
+  // spec), with a prune list added to its first input.
+  auto f = MakeSelectiveJoin();
+  ASSERT_TRUE(f.ok()) << f.status();
+  ProfileInPlace(&*f);
+  StubbyOptions options;
+  options.bloom_transfer = true;
+  auto report = StubbyOptimizer(options).Optimize(f->plan());
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::string text = ExportPlan(report->plan);
+  ASSERT_NE(text.find("\"bloom\""), std::string::npos) << text;
+  const std::string aligned = "\"aligned\": false";
+  const size_t at = text.find(aligned);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + aligned.size(), ", \"prune\": [0]");
+  auto doc = Json::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  PlanFunctionResolver resolver(report->plan);
+  ASSERT_TRUE(ImportPlan(text, resolver).ok());
+
+  struct Field {
+    const char* within;
+    const char* key;
+    bool is_unsigned;
+  };
+  const Field fields[] = {
+      {"cluster", "num_nodes", false},
+      {"cluster", "map_slots_per_node", false},
+      {"cluster", "reduce_slots_per_node", false},
+      {"config", "num_reduce_tasks", false},
+      {"config", "io_sort_factor", false},
+      {"annotation", "num_records", true},
+      {"annotation", "bytes", true},
+      {"annotation", "num_partitions", false},
+      {"histograms", "distinct", true},
+      {"inputs", "prune", false},
+      {"join", "filterable", true},
+      {"bloom", "build_input", true},
+      {"bloom", "probe_inputs", true},
+      {"bloom", "bits_log2", false},
+      {"bloom", "num_hashes", false},
+  };
+  for (const Field& field : fields) {
+    std::vector<Json> bad = {Json(2.5), Json(1e300), Json("4")};
+    if (field.is_unsigned) bad.push_back(Json(-1));
+    for (const Json& value : bad) {
+      bool hit = false;
+      Json edited =
+          ReplaceFirst(*doc, field.within, field.key, value, false, &hit);
+      ASSERT_TRUE(hit) << field.within << "." << field.key;
+      EXPECT_FALSE(ImportPlan(edited.Dump(2), resolver).ok())
+          << field.within << "." << field.key << " = " << value.Dump(-1);
+    }
+  }
+
+  // An exported Table 1 plan, profiled and optimized, still round-trips.
+  WorkloadOptions wopts;
+  wopts.sample_rows = 2000;
+  auto w = MakeWorkload("BR", wopts);
+  ASSERT_TRUE(w.ok()) << w.status();
+  Profiler profiler(w->plan.cluster());
+  Dfs dfs = w->dfs;
+  ASSERT_TRUE(profiler.ProfilePlan(&w->plan, &dfs).ok());
+  auto optimized = StubbyOptimizer().Optimize(w->plan);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  for (const Plan* plan : {&w->plan, &optimized->plan}) {
+    const std::string exported = ExportPlan(*plan);
+    PlanFunctionResolver table1(*plan);
+    auto imported = ImportPlan(exported, table1);
+    ASSERT_TRUE(imported.ok()) << imported.status();
+    EXPECT_EQ(ExportPlan(*imported), exported);
   }
 }
 
