@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "bench_common.h"
@@ -74,7 +75,9 @@ void BM_RangePartitioner(benchmark::State& state) {
   spec.type = PartitionType::kRange;
   spec.partition_fields = {"A"};
   spec.sort_fields = {"A"};
-  for (int i = 10; i < 1000; i += 10) spec.split_points.push_back(Row{i});
+  std::vector<Row> splits;
+  for (int i = 10; i < 1000; i += 10) splits.push_back(Row{i});
+  spec.split_points = std::move(splits);
   Partitioner p = *Partitioner::Make(spec, schema);
   std::vector<Row> rows = MakeRows(1024, 3);
   for (auto _ : state) {
@@ -228,6 +231,75 @@ void BM_RrsPointBR(benchmark::State& state) {
   state.counters["tuned_jobs"] = static_cast<double>(point.tuned.size());
 }
 BENCHMARK(BM_RrsPointBR)->ArgName("applied_copy")->Arg(0)->Arg(1);
+
+// BR profiled at 5,000 rows and Stubby-optimized: its range-partitioned
+// branches hold several hundred split-point rows, each also in the output
+// dataset's layout and layout annotation.
+const Plan& OptimizedBr() {
+  static const Plan plan = [] {
+    WorkloadOptions options;
+    options.sample_rows = 5000;
+    auto w = MakeWorkload("BR", options);
+    STUBBY_CHECK_OK(w.status());
+    Profiler profiler(options.cluster);
+    Dfs dfs = w->dfs;
+    STUBBY_CHECK_OK(profiler.ProfilePlan(&w->plan, &dfs));
+    auto report = StubbyOptimizer().Optimize(w->plan);
+    STUBBY_CHECK_OK(report.status());
+    return report->plan;
+  }();
+  return plan;
+}
+
+// One copy of the optimized BR plan: the unit of work of enumeration, which
+// applies every transformation to a copy of the plan.
+void BM_PlanCopyBR(benchmark::State& state) {
+  const Plan& plan = OptimizedBr();
+  size_t splits = 0;
+  for (const auto& [id, job] : plan.jobs()) {
+    for (const Branch& b : job.branches) {
+      splits += b.partition.split_points.size();
+    }
+  }
+  for (auto _ : state) {
+    Plan copy = plan;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["branch_split_points"] = static_cast<double>(splits);
+}
+BENCHMARK(BM_PlanCopyBR);
+
+// One simulation of the optimized BR plan on the cluster, at the task times
+// its predicted dataflow gives: what every priced RRS point ends with.
+void BM_SimulateScheduleBR(benchmark::State& state) {
+  const Plan& plan = OptimizedBr();
+  WhatIfEngine whatif(plan.cluster());
+  auto flow = whatif.PredictDataflow(plan);
+  STUBBY_CHECK_OK(flow.status());
+  auto order = plan.TopologicalOrder();
+  STUBBY_CHECK_OK(order.status());
+  std::map<std::string, size_t> index;
+  for (size_t k = 0; k < order->size(); ++k) index[(*order)[k]] = k;
+  std::vector<std::vector<size_t>> deps(order->size());
+  std::vector<size_t> rank(order->size());
+  std::vector<JobTaskTimes> times(order->size());
+  size_t r = 0;
+  for (const auto& [id, k] : index) rank[k] = r++;  // job-id order
+  for (const JobDataflow& df : flow->jobs) {
+    const size_t k = index.at(df.job_id);
+    for (const std::string& up : plan.UpstreamJobs(df.job_id)) {
+      deps[k].push_back(index.at(up));
+    }
+    times[k] = whatif.model().TaskTimes(df, (*plan.GetJob(df.job_id))->config);
+  }
+  const ScheduleGraph graph = MakeScheduleGraph(deps, std::move(rank));
+  for (auto _ : state) {
+    auto sched = SimulateSchedule(graph, times, plan.cluster());
+    benchmark::DoNotOptimize(sched->makespan_sec);
+  }
+  state.counters["jobs"] = static_cast<double>(times.size());
+}
+BENCHMARK(BM_SimulateScheduleBR);
 
 // Profiling BR at 5,000 rows (one observed run per job), beside a plain
 // job-by-job run of the same plan: their ratio is what profiling adds to

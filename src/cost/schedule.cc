@@ -64,7 +64,9 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
   for (size_t i = 0; i < times.size(); ++i) {
     state[i].times = &times[i];
     state[i].rank = graph.rank[i];
-    state[i].maps_pending = std::max(0, times[i].map_tasks);
+    // Jobs with zero tasks complete instantly at their ready time; model
+    // them as a zero-length map batch.
+    state[i].maps_pending = times[i].map_tasks <= 0 ? 1 : times[i].map_tasks;
     state[i].reduces_pending = std::max(0, times[i].reduce_tasks);
     state[i].deps_remaining = graph.num_deps[i];
   }
@@ -77,9 +79,37 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
   int seq = 0;
   double now = 0.0;
 
+  // Jobs with map (reduce) tasks pending whose maps (reduces) have a ready
+  // time, ordered by (ready time, rank, index); the next job to dispatch
+  // sits at the back. The earliest-ready job is the one a scan over all
+  // jobs would pick, and when it is not ready by `now` no job is.
+  std::vector<size_t> map_ready, reduce_ready;
+  map_ready.reserve(state.size());
+  reduce_ready.reserve(state.size());
+  auto enqueue = [&](std::vector<size_t>* ready, double JobState::*time,
+                     size_t i) {
+    auto after = [&](size_t a, size_t b) {
+      if (state[a].*time != state[b].*time) {
+        return state[a].*time > state[b].*time;
+      }
+      if (state[a].rank != state[b].rank) return state[a].rank > state[b].rank;
+      return a > b;
+    };
+    ready->insert(std::upper_bound(ready->begin(), ready->end(), i, after), i);
+  };
+  auto set_ready = [&](size_t i, double t) {
+    state[i].ready_time = t;
+    // A negative (or NaN) ready time never dispatches.
+    if (t >= 0) enqueue(&map_ready, &JobState::ready_time, i);
+  };
+  auto set_reduce_ready = [&](size_t i) {
+    state[i].reduce_ready_time = now;
+    enqueue(&reduce_ready, &JobState::reduce_ready_time, i);
+  };
+
   for (size_t i = 0; i < state.size(); ++i) {
     if (state[i].deps_remaining == 0) {
-      state[i].ready_time = state[i].times->job_overhead_sec;
+      set_ready(i, state[i].times->job_overhead_sec);
     }
   }
 
@@ -88,7 +118,7 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
     state[i].finish_time = now;
     for (size_t dep : dependents[i]) {
       if (--state[dep].deps_remaining == 0) {
-        state[dep].ready_time = now + state[dep].times->job_overhead_sec;
+        set_ready(dep, now + state[dep].times->job_overhead_sec);
       }
     }
   };
@@ -96,63 +126,35 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
   // Schedules as many ready tasks as slots allow; FIFO by (ready_time,
   // rank).
   auto dispatch = [&]() {
-    // Map tasks.
-    while (free_map > 0) {
-      size_t best = state.size();
-      for (size_t i = 0; i < state.size(); ++i) {
-        if (state[i].maps_pending > 0 && state[i].ready_time >= 0 &&
-            state[i].ready_time <= now) {
-          if (best == state.size() ||
-              state[i].ready_time < state[best].ready_time ||
-              (state[i].ready_time == state[best].ready_time &&
-               state[i].rank < state[best].rank)) {
-            best = i;
-          }
-        }
-      }
-      if (best == state.size()) break;
+    while (free_map > 0 && !map_ready.empty() &&
+           state[map_ready.back()].ready_time <= now) {
+      size_t best = map_ready.back();
       JobState& js = state[best];
       int n = std::min(free_map, js.maps_pending);
       js.maps_pending -= n;
       js.maps_running += n;
       free_map -= n;
+      if (js.maps_pending == 0) map_ready.pop_back();
       double dur = js.maps_pending == 0 ? js.times->map_max_sec
                                         : js.times->map_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kMapBatchDone,
                     best, n});
     }
-    // Reduce tasks.
-    while (free_reduce > 0) {
-      size_t best = state.size();
-      for (size_t i = 0; i < state.size(); ++i) {
-        if (state[i].reduces_pending > 0 && state[i].reduce_ready_time >= 0 &&
-            state[i].reduce_ready_time <= now) {
-          if (best == state.size() ||
-              state[i].reduce_ready_time < state[best].reduce_ready_time ||
-              (state[i].reduce_ready_time == state[best].reduce_ready_time &&
-               state[i].rank < state[best].rank)) {
-            best = i;
-          }
-        }
-      }
-      if (best == state.size()) break;
+    while (free_reduce > 0 && !reduce_ready.empty() &&
+           state[reduce_ready.back()].reduce_ready_time <= now) {
+      size_t best = reduce_ready.back();
       JobState& js = state[best];
       int n = std::min(free_reduce, js.reduces_pending);
       js.reduces_pending -= n;
       js.reduces_running += n;
       free_reduce -= n;
+      if (js.reduces_pending == 0) reduce_ready.pop_back();
       double dur = js.reduces_pending == 0 ? js.times->reduce_max_sec
                                            : js.times->reduce_avg_sec;
       pq.push(Event{now + std::max(0.0, dur), seq++, Event::kReduceBatchDone,
                     best, n});
     }
   };
-
-  // Jobs with zero tasks complete instantly at their ready time; model them
-  // as a zero-length map batch.
-  for (size_t i = 0; i < state.size(); ++i) {
-    if (state[i].times->map_tasks <= 0) state[i].maps_pending = 1;
-  }
 
   // Kick-off events at initial ready times so that jobs whose overhead
   // elapses while others are running get dispatched promptly.
@@ -163,21 +165,16 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
   }
 
   dispatch();
-  // Advance to the earliest pending ready time whenever nothing runs.
   size_t guard = 0;
   const size_t kGuardLimit = 10'000'000;
   while (true) {
     if (pq.empty()) {
-      // Nothing running: advance to the earliest future ready time.
+      // Nothing running: advance to the earliest ready time still waiting.
       double next_ready = -1.0;
-      for (const auto& js : state) {
-        if (js.done) continue;
-        double t = -1.0;
-        if (js.maps_pending > 0 && js.ready_time >= 0) t = js.ready_time;
-        if (js.reduces_pending > 0 && js.reduce_ready_time >= 0) {
-          t = t < 0 ? js.reduce_ready_time : std::min(t, js.reduce_ready_time);
-        }
-        if (t >= 0 && (next_ready < 0 || t < next_ready)) next_ready = t;
+      if (!map_ready.empty()) next_ready = state[map_ready.back()].ready_time;
+      if (!reduce_ready.empty()) {
+        double t = state[reduce_ready.back()].reduce_ready_time;
+        if (next_ready < 0 || t < next_ready) next_ready = t;
       }
       if (next_ready < 0) break;  // all done
       now = next_ready;
@@ -197,7 +194,7 @@ Result<JobSchedule> SimulateSchedule(const ScheduleGraph& graph,
       free_map += ev.count;
       if (js.maps_pending == 0 && js.maps_running == 0) {
         if (js.times->reduce_tasks > 0) {
-          js.reduce_ready_time = now;
+          set_reduce_ready(ev.job_index);
         } else if (!js.done) {
           finish_job(ev.job_index);
         }

@@ -190,13 +190,16 @@ Result<PartitionSpec> ResolvePartitionSpec(const Branch& branch, int R,
   if (static_cast<int>(candidates.size()) <= want) {
     spec.split_points = std::move(candidates);
   } else {
+    std::vector<Row> splits;
+    splits.reserve(static_cast<size_t>(want));
     for (int i = 1; i <= want; ++i) {
       size_t idx = static_cast<size_t>(
           static_cast<double>(i) * static_cast<double>(candidates.size()) /
           (want + 1));
       idx = std::min(idx, candidates.size() - 1);
-      spec.split_points.push_back(candidates[idx]);
+      splits.push_back(candidates[idx]);
     }
+    spec.split_points = std::move(splits);
   }
   return spec;
 }

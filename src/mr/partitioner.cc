@@ -16,6 +16,17 @@ const char* PartitionTypeName(PartitionType t) {
   return "?";
 }
 
+SplitPoints::SplitPoints(std::vector<Row> rows) {
+  if (!rows.empty()) {
+    rows_ = std::make_shared<const std::vector<Row>>(std::move(rows));
+  }
+}
+
+bool SplitPoints::operator==(const SplitPoints& other) const {
+  return rows_ == other.rows_ ||
+         std::equal(begin(), end(), other.begin(), other.end());
+}
+
 PartitionSpec PartitionSpec::DefaultFor(
     const std::vector<std::string>& key_fields) {
   PartitionSpec spec;
@@ -77,14 +88,23 @@ int Partitioner::PartitionOf(const Row& row, int num_partitions) const {
     uint64_t h = HashOnFields(row, partition_indices_);
     return static_cast<int>(h % static_cast<uint64_t>(num_partitions));
   }
-  // Range: projected key compared against sorted split points. Make()
-  // guarantees splits+1 <= num_partitions for executor-created
-  // partitioners, so the clamp below cannot silently merge key ranges.
-  Row key = row.Project(partition_indices_);
-  auto it = std::upper_bound(
-      spec_.split_points.begin(), spec_.split_points.end(), key,
-      [](const Row& a, const Row& b) { return a < b; });
-  int idx = static_cast<int>(it - spec_.split_points.begin());
+  // Range: the row's partition fields compared in place against the sorted
+  // split points, field by field as Row::operator< compares the projected
+  // key (Make() checked that every split point has one value per partition
+  // field, so the length tie-break never decides). Make() also guarantees
+  // splits+1 <= num_partitions for executor-created partitioners, so the
+  // clamp below cannot silently merge key ranges.
+  auto key_less = [this](const Row& r, const Row& split) {
+    for (size_t i = 0; i < partition_indices_.size(); ++i) {
+      const Value& v = r[partition_indices_[i]];
+      if (v < split[i]) return true;
+      if (split[i] < v) return false;
+    }
+    return false;
+  };
+  const SplitPoints& splits = spec_.split_points;
+  auto it = std::upper_bound(splits.begin(), splits.end(), row, key_less);
+  int idx = static_cast<int>(it - splits.begin());
   return std::min(idx, num_partitions - 1);
 }
 

@@ -6,6 +6,8 @@
 
 #pragma once
 
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,33 @@ namespace stubby {
 enum class PartitionType { kHash, kRange };
 
 const char* PartitionTypeName(PartitionType t);
+
+/// A range partition's split points: sorted boundary rows, read-only once
+/// built. Copies share the rows, so copying a spec (and with it a branch, a
+/// dataset layout, a Plan or a Dfs) bumps one reference count instead of
+/// copying every row. A writer builds a std::vector<Row> and assigns it;
+/// nothing mutates rows another copy may be reading, on any thread.
+class SplitPoints {
+ public:
+  SplitPoints() = default;
+  SplitPoints(std::vector<Row> rows);  // NOLINT(runtime/explicit)
+  SplitPoints(std::initializer_list<Row> rows)
+      : SplitPoints(std::vector<Row>(rows)) {}
+
+  size_t size() const { return rows_ == nullptr ? 0 : rows_->size(); }
+  bool empty() const { return size() == 0; }
+  const Row& operator[](size_t i) const { return (*rows_)[i]; }
+  const Row* begin() const {
+    return rows_ == nullptr ? nullptr : rows_->data();
+  }
+  const Row* end() const { return begin() + size(); }
+
+  /// Equal contents; rows shared by both sides compare equal at once.
+  bool operator==(const SplitPoints& other) const;
+
+ private:
+  std::shared_ptr<const std::vector<Row>> rows_;  ///< null when empty
+};
 
 /// Declarative description of a job's partition function. Lives in the plan
 /// so transformations can inspect and rewrite it.
@@ -34,7 +63,7 @@ struct PartitionSpec {
   /// For range partitioning: sorted boundary rows over `partition_fields`.
   /// n split points define n+1 partitions; a row belongs to the first
   /// partition whose upper boundary exceeds it.
-  std::vector<Row> split_points;
+  SplitPoints split_points;
 
   /// Alternative to explicit split points: a dataset id whose rows are the
   /// boundary rows, resolved at execution time. Used by workflows where a

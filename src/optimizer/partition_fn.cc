@@ -134,7 +134,7 @@ std::vector<Application> PartitionFunctionTransform::FindApplications(
         Branch& b2 = j2->branches[bi];
         b2.partition.type = PartitionType::kHash;
         b2.partition.partition_fields = b2.GroupFields();
-        b2.partition.split_points.clear();
+        b2.partition.split_points = {};
         auto dv = np.GetMutableDataset(b2.output_dataset);
         if (dv.ok()) {
           (*dv)->layout = DeriveOutputLayout(b2, j2->config, (*dv)->schema);
@@ -238,15 +238,19 @@ std::vector<Application> PartitionFunctionTransform::FindApplications(
         "range-partition %s on %s (%zu splits%s)", jid.c_str(), field.c_str(),
         splits.size(), sites.empty() ? "" : ", enables pruning");
     KeyHistogram hist_copy = *hist;
-    app.apply = [jid, field, splits, sites,
+    // Built once: every plan this application produces shares the rows.
+    std::vector<Row> split_rows;
+    split_rows.reserve(splits.size());
+    for (double s : splits) split_rows.push_back(Row{s});
+    SplitPoints split_points(std::move(split_rows));
+    app.apply = [jid, field, splits, split_points, sites,
                  hist_copy](const Plan& plan_in) -> Result<Plan> {
       Plan np = plan_in;
       STUBBY_ASSIGN_OR_RETURN(JobVertex * job2, np.GetMutableJob(jid));
       Branch& b2 = job2->branches[0];
       b2.partition.type = PartitionType::kRange;
       b2.partition.partition_fields = {field};
-      b2.partition.split_points.clear();
-      for (double s : splits) b2.partition.split_points.push_back(Row{s});
+      b2.partition.split_points = split_points;
 
       STUBBY_ASSIGN_OR_RETURN(DatasetVertex * dv,
                               np.GetMutableDataset(b2.output_dataset));

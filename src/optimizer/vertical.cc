@@ -232,7 +232,7 @@ std::vector<Application> IntraJobVerticalPacking::FindApplications(
         Branch& bp = pj->branches[static_cast<size_t>(bi)];
         bp.partition.type = PartitionType::kHash;
         bp.partition.partition_fields = group_order;
-        bp.partition.split_points.clear();
+        bp.partition.split_points = {};
         bp.partition.split_points_from.clear();
         pj->conditions.partition_frozen = true;
         if (fixed_reduce > 0) {

@@ -68,9 +68,29 @@ Result<Value> ValueFromJson(const Json& j) {
     return Status::InvalidArgument("bad value encoding");
   }
   const std::string& tag = j.items()[0].AsString();
-  if (tag == "i") return Value(j.items()[1].AsInt());
-  if (tag == "d") return Value(j.items()[1].AsNumber());
-  if (tag == "s") return Value(j.items()[1].AsString());
+  const Json& v = j.items()[1];
+  if (tag == "i") {
+    // int64 holds [-2^63, 2^63); a cast of anything else, or of a fraction,
+    // is undefined or silently truncates.
+    const double d = v.is_number() ? v.AsNumber() : std::nan("");
+    if (!std::isfinite(d) || d != std::floor(d) ||
+        d < -std::ldexp(1.0, 63) || d >= std::ldexp(1.0, 63)) {
+      return Status::InvalidArgument("'i' value is not a 64-bit integer");
+    }
+    return Value(static_cast<int64_t>(d));
+  }
+  if (tag == "d") {
+    if (!v.is_number()) {
+      return Status::InvalidArgument("'d' value is not a number");
+    }
+    return Value(v.AsNumber());
+  }
+  if (tag == "s") {
+    if (!v.is_string()) {
+      return Status::InvalidArgument("'s' value is not a string");
+    }
+    return Value(v.AsString());
+  }
   return Status::InvalidArgument("unknown value tag '" + tag + "'");
 }
 
@@ -83,6 +103,7 @@ Json RowToJson(const Row& row) {
 }
 
 Result<Row> RowFromJson(const Json& j) {
+  if (!j.is_array()) return Status::InvalidArgument("row is not an array");
   Row row;
   for (const Json& v : j.items()) {
     STUBBY_ASSIGN_OR_RETURN(Value value, ValueFromJson(v));
@@ -144,10 +165,12 @@ Result<PartitionSpec> PartitionSpecFromJson(const Json& j) {
   p.partition_fields = StringsFromJson(j.Find("fields"));
   p.sort_fields = StringsFromJson(j.Find("sort"));
   if (const Json* splits = j.Find("splits"); splits != nullptr) {
+    std::vector<Row> rows;
     for (const Json& r : splits->items()) {
       STUBBY_ASSIGN_OR_RETURN(Row row, RowFromJson(r));
-      p.split_points.push_back(std::move(row));
+      rows.push_back(std::move(row));
     }
+    p.split_points = std::move(rows);
   }
   p.split_points_from = j.GetString("splits_from");
   return p;

@@ -38,9 +38,11 @@ Result<Workload> MakeLA(const WorkloadOptions& options) {
   uv_part.type = PartitionType::kRange;
   uv_part.partition_fields = {"DT"};
   uv_part.sort_fields = {"DT"};
+  std::vector<Row> day_splits;
   for (int day = 10; day < 360; day += 10) {
-    uv_part.split_points.push_back(Row{int64_t{day}});
+    day_splits.push_back(Row{int64_t{day}});
   }
+  uv_part.split_points = std::move(day_splits);
   uv_layout.partitioning = uv_part;
   STUBBY_RETURN_NOT_OK(f.AddBase("UV", visits.schema, uv_layout,
                                  /*partitions=*/36, std::move(visits.rows),

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <queue>
 
 #include "cost/adjust.h"
 #include "cost/phase_model.h"
 #include "cost/schedule.h"
 #include "cost/whatif.h"
+#include "common/rng.h"
 #include "test_workflows.h"
 
 namespace stubby {
@@ -191,6 +193,260 @@ TEST(ScheduleTest, RejectsDuplicateIds) {
   ScheduledJob a;
   a.id = "A";
   EXPECT_FALSE(SimulateCluster({a, a}, ClusterSpec()).ok());
+}
+
+// The scanning dispatcher SimulateSchedule replaced, kept as the oracle:
+// after every event it rescans every job for the earliest-ready map batch
+// and the earliest-ready reduce batch, by (ready time, rank).
+Result<JobSchedule> ScanningSimulateSchedule(
+    const ScheduleGraph& graph, const std::vector<JobTaskTimes>& times,
+    const ClusterSpec& cluster) {
+  struct JobState {
+    const JobTaskTimes* times = nullptr;
+    size_t rank = 0;
+    int deps_remaining = 0;
+    double ready_time = -1.0;
+    int maps_pending = 0;
+    int maps_running = 0;
+    double reduce_ready_time = -1.0;
+    int reduces_pending = 0;
+    int reduces_running = 0;
+    double finish_time = -1.0;
+    bool done = false;
+  };
+  struct Event {
+    double time;
+    int seq;
+    bool map;
+    size_t job_index;
+    int count;
+    bool operator>(const Event& other) const {
+      if (time != other.time) return time > other.time;
+      return seq > other.seq;
+    }
+  };
+  std::vector<JobState> state(times.size());
+  for (size_t i = 0; i < times.size(); ++i) {
+    state[i].times = &times[i];
+    state[i].rank = graph.rank[i];
+    state[i].maps_pending = std::max(0, times[i].map_tasks);
+    state[i].reduces_pending = std::max(0, times[i].reduce_tasks);
+    state[i].deps_remaining = graph.num_deps[i];
+  }
+  int free_map = cluster.total_map_slots();
+  int free_reduce = cluster.total_reduce_slots();
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> pq;
+  int seq = 0;
+  double now = 0.0;
+  for (JobState& js : state) {
+    if (js.deps_remaining == 0) js.ready_time = js.times->job_overhead_sec;
+  }
+  auto finish_job = [&](size_t i) {
+    state[i].done = true;
+    state[i].finish_time = now;
+    for (size_t dep : graph.dependents[i]) {
+      if (--state[dep].deps_remaining == 0) {
+        state[dep].ready_time = now + state[dep].times->job_overhead_sec;
+      }
+    }
+  };
+  auto dispatch = [&]() {
+    while (free_map > 0) {
+      size_t best = state.size();
+      for (size_t i = 0; i < state.size(); ++i) {
+        if (state[i].maps_pending > 0 && state[i].ready_time >= 0 &&
+            state[i].ready_time <= now) {
+          if (best == state.size() ||
+              state[i].ready_time < state[best].ready_time ||
+              (state[i].ready_time == state[best].ready_time &&
+               state[i].rank < state[best].rank)) {
+            best = i;
+          }
+        }
+      }
+      if (best == state.size()) break;
+      JobState& js = state[best];
+      int n = std::min(free_map, js.maps_pending);
+      js.maps_pending -= n;
+      js.maps_running += n;
+      free_map -= n;
+      double dur = js.maps_pending == 0 ? js.times->map_max_sec
+                                        : js.times->map_avg_sec;
+      pq.push(Event{now + std::max(0.0, dur), seq++, true, best, n});
+    }
+    while (free_reduce > 0) {
+      size_t best = state.size();
+      for (size_t i = 0; i < state.size(); ++i) {
+        if (state[i].reduces_pending > 0 && state[i].reduce_ready_time >= 0 &&
+            state[i].reduce_ready_time <= now) {
+          if (best == state.size() ||
+              state[i].reduce_ready_time < state[best].reduce_ready_time ||
+              (state[i].reduce_ready_time == state[best].reduce_ready_time &&
+               state[i].rank < state[best].rank)) {
+            best = i;
+          }
+        }
+      }
+      if (best == state.size()) break;
+      JobState& js = state[best];
+      int n = std::min(free_reduce, js.reduces_pending);
+      js.reduces_pending -= n;
+      js.reduces_running += n;
+      free_reduce -= n;
+      double dur = js.reduces_pending == 0 ? js.times->reduce_max_sec
+                                           : js.times->reduce_avg_sec;
+      pq.push(Event{now + std::max(0.0, dur), seq++, false, best, n});
+    }
+  };
+  for (JobState& js : state) {
+    if (js.times->map_tasks <= 0) js.maps_pending = 1;
+  }
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (state[i].ready_time >= 0) {
+      pq.push(Event{state[i].ready_time, seq++, true, i, 0});
+    }
+  }
+  dispatch();
+  while (true) {
+    if (pq.empty()) {
+      double next_ready = -1.0;
+      for (const JobState& js : state) {
+        if (js.done) continue;
+        double t = -1.0;
+        if (js.maps_pending > 0 && js.ready_time >= 0) t = js.ready_time;
+        if (js.reduces_pending > 0 && js.reduce_ready_time >= 0) {
+          t = t < 0 ? js.reduce_ready_time : std::min(t, js.reduce_ready_time);
+        }
+        if (t >= 0 && (next_ready < 0 || t < next_ready)) next_ready = t;
+      }
+      if (next_ready < 0) break;
+      now = next_ready;
+      dispatch();
+      if (pq.empty()) break;
+      continue;
+    }
+    Event ev = pq.top();
+    pq.pop();
+    now = ev.time;
+    JobState& js = state[ev.job_index];
+    if (ev.map) {
+      js.maps_running -= ev.count;
+      free_map += ev.count;
+      if (js.maps_pending == 0 && js.maps_running == 0) {
+        if (js.times->reduce_tasks > 0) {
+          js.reduce_ready_time = now;
+        } else if (!js.done) {
+          finish_job(ev.job_index);
+        }
+      }
+    } else {
+      js.reduces_running -= ev.count;
+      free_reduce += ev.count;
+      if (js.reduces_pending == 0 && js.reduces_running == 0 && !js.done) {
+        finish_job(ev.job_index);
+      }
+    }
+    dispatch();
+  }
+  JobSchedule result;
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (!state[i].done) return Status::Internal("never completed");
+    result.finish_sec.push_back(state[i].finish_time);
+    result.makespan_sec = std::max(result.makespan_sec, state[i].finish_time);
+  }
+  return result;
+}
+
+/// Upstream job indices of a seeded DAG over `n` jobs (every edge points
+/// from a lower to a higher index) in one of five shapes.
+std::vector<std::vector<size_t>> SeededDag(size_t n, int shape, Rng* rng) {
+  std::vector<std::vector<size_t>> deps(n);
+  for (size_t i = 1; i < n; ++i) {
+    switch (shape) {
+      case 0:  // chain
+        deps[i] = {i - 1};
+        break;
+      case 1:  // diamonds: 0 -> {1, 2} -> 3 -> {4, 5} -> 6 ...
+        if (i % 3 == 0) {
+          deps[i] = {i - 2, i - 1};
+        } else {
+          deps[i] = {i - i % 3};
+        }
+        break;
+      case 2:  // fan-in: every earlier job feeds the last
+        if (i == n - 1) {
+          for (size_t d = 0; d < i; ++d) deps[i].push_back(d);
+        }
+        break;
+      case 3:  // fan-out: job 0 feeds every other job
+        deps[i] = {0};
+        break;
+      default:  // random
+        for (size_t d = 0; d < i; ++d) {
+          if (rng->NextDouble() < 0.3) deps[i].push_back(d);
+        }
+        break;
+    }
+  }
+  return deps;
+}
+
+TEST(ScheduleTest, OrderedDispatchMatchesTheScanningDispatcher) {
+  // Task times are drawn from a few small integers so ready times and
+  // batch ends tie often and the rank tie-break decides; ranks are a
+  // random permutation of the job indices. The clusters have fewer slots
+  // than most jobs have tasks, so phases run in several waves and jobs
+  // become ready while other jobs' waves run.
+  const ClusterSpec tiny = [] {
+    ClusterSpec c;
+    c.num_nodes = 2;
+    c.map_slots_per_node = 2;
+    c.reduce_slots_per_node = 1;
+    return c;
+  }();
+  const ClusterSpec small = [] {
+    ClusterSpec c;
+    c.num_nodes = 3;
+    c.map_slots_per_node = 3;
+    c.reduce_slots_per_node = 2;
+    return c;
+  }();
+  Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = 1 + static_cast<size_t>(rng.NextInt(0, 11));
+    const int shape = trial % 5;
+    std::vector<size_t> rank(n);
+    for (size_t i = 0; i < n; ++i) rank[i] = i;
+    rng.Shuffle(&rank);
+    ScheduleGraph graph = MakeScheduleGraph(SeededDag(n, shape, &rng), rank);
+    std::vector<JobTaskTimes> times(n);
+    for (JobTaskTimes& t : times) {
+      t.map_tasks = static_cast<int>(rng.NextInt(0, 12));  // 0: no tasks
+      t.reduce_tasks = rng.NextDouble() < 0.3
+                           ? 0
+                           : static_cast<int>(rng.NextInt(0, 6));
+      t.map_avg_sec = static_cast<double>(rng.NextInt(0, 3));
+      t.map_max_sec = t.map_avg_sec + static_cast<double>(rng.NextInt(0, 2));
+      t.reduce_avg_sec = static_cast<double>(rng.NextInt(1, 4));
+      t.reduce_max_sec =
+          t.reduce_avg_sec + static_cast<double>(rng.NextInt(0, 2));
+      t.job_overhead_sec = static_cast<double>(rng.NextInt(0, 2)) * 0.5;
+    }
+    const ClusterSpec& cluster = trial % 2 == 0 ? tiny : small;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    auto want = ScanningSimulateSchedule(graph, times, cluster);
+    auto got = SimulateSchedule(graph, times, cluster);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->makespan_sec),
+              std::bit_cast<uint64_t>(want->makespan_sec));
+    ASSERT_EQ(got->finish_sec.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->finish_sec[i]),
+                std::bit_cast<uint64_t>(want->finish_sec[i]))
+          << "job " << i;
+    }
+  }
 }
 
 TEST(AdjustTest, ComposeStatsMultipliesSelectivitiesAndSumsCpu) {

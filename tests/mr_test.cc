@@ -231,13 +231,86 @@ TEST(RangePartitionerTest, RangeIsOrderPreserving) {
   spec.type = PartitionType::kRange;
   spec.partition_fields = {"k"};
   spec.sort_fields = {"k"};
-  for (int s = 5; s < 100; s += 5) spec.split_points.push_back(Row{s});
+  std::vector<Row> splits;
+  for (int s = 5; s < 100; s += 5) splits.push_back(Row{s});
+  spec.split_points = std::move(splits);
   Partitioner p = *Partitioner::Make(spec, schema);
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
     int64_t a = rng.NextInt(0, 120), b = rng.NextInt(0, 120);
     if (a > b) std::swap(a, b);
     EXPECT_LE(p.PartitionOf(Row{a}, 20), p.PartitionOf(Row{b}, 20));
+  }
+}
+
+TEST(RangePartitionerTest, MatchesUpperBoundOverTheProjectedKey) {
+  // PartitionOf compares a row's partition fields against the split points
+  // in place; the reference projects the key into its own row and takes
+  // upper_bound. Keys of one to three fields, read from scattered schema
+  // positions, of ints, doubles (-0.0 beside 0.0), strings or a mix; rows
+  // equal to each split point, below the first and above the last.
+  const Schema schema({"f0", "f1", "f2", "f3", "f4"});
+  Rng rng(11);
+  const double kDoubles[] = {-0.0, 0.0, 0.5, -1.5, 2.0, 4.0};
+  const char* kStrings[] = {"", "a", "ab", "b", "ba", "c"};
+  for (int mode = 0; mode < 4; ++mode) {  // int, double, string, mixed
+    auto value = [&]() -> Value {
+      const int m = mode < 3 ? mode : static_cast<int>(rng.NextUint64(3));
+      if (m == 0) return rng.NextInt(-4, 4);
+      if (m == 2) return kStrings[rng.NextUint64(6)];
+      if (rng.NextDouble() < 0.5) return kDoubles[rng.NextUint64(6)];
+      return rng.NextDouble(-4, 4);
+    };
+    for (size_t arity = 1; arity <= 3; ++arity) {
+      std::vector<size_t> order = {0, 1, 2, 3, 4};
+      rng.Shuffle(&order);
+      const std::vector<size_t> key_at(order.begin(), order.begin() + arity);
+      PartitionSpec spec;
+      spec.type = PartitionType::kRange;
+      for (size_t i : key_at) spec.partition_fields.push_back(schema.field(i));
+      spec.sort_fields = spec.partition_fields;
+      std::vector<Row> splits;
+      for (int n = 0; n < 6; ++n) {
+        Row split;
+        for (size_t f = 0; f < arity; ++f) split.Append(value());
+        splits.push_back(std::move(split));
+      }
+      std::sort(splits.begin(), splits.end());
+      splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+      spec.split_points = splits;
+      const int R = static_cast<int>(splits.size()) + 1;
+      auto p = Partitioner::Make(spec, schema, R);
+      ASSERT_TRUE(p.ok()) << p.status();
+
+      auto row_with_key = [&](const Row& key) {
+        Row row;
+        for (size_t f = 0; f < 5; ++f) row.Append(value());
+        std::vector<Value> values = row.values();
+        for (size_t f = 0; f < arity; ++f) values[key_at[f]] = key[f];
+        return Row(std::move(values));
+      };
+      std::vector<Row> rows;
+      for (const Row& split : splits) rows.push_back(row_with_key(split));
+      const Row below(std::vector<Value>(arity, Value(-1e9)));
+      const Row above(std::vector<Value>(arity, Value("zzz")));
+      rows.push_back(row_with_key(below));
+      rows.push_back(row_with_key(above));
+      for (int n = 0; n < 200; ++n) {
+        Row row;
+        for (size_t f = 0; f < 5; ++f) row.Append(value());
+        rows.push_back(std::move(row));
+      }
+      for (const Row& row : rows) {
+        const Row key = row.Project(key_at);
+        const int want = static_cast<int>(
+            std::upper_bound(splits.begin(), splits.end(), key) -
+            splits.begin());
+        EXPECT_EQ(p->PartitionOf(row, R), want)
+            << "mode " << mode << " key " << key.ToString();
+      }
+      EXPECT_EQ(p->PartitionOf(row_with_key(below), R), 0);
+      EXPECT_EQ(p->PartitionOf(row_with_key(above), R), R - 1);
+    }
   }
 }
 

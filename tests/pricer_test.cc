@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <set>
 
+#include "common/strings.h"
 #include "cost/cost_cache.h"
 #include "cost/whatif.h"
 #include "optimizer/bloom.h"
@@ -18,9 +20,11 @@
 #include "optimizer/partition_fn.h"
 #include "optimizer/rrs.h"
 #include "optimizer/search.h"
+#include "optimizer/stubby.h"
 #include "optimizer/unit.h"
 #include "optimizer/vertical.h"
 #include "test_workflows.h"
+#include "workflow/serialize.h"
 #include "workloads/registry.h"
 
 namespace stubby {
@@ -241,6 +245,96 @@ TEST_P(PricerOnWorkload, MatchesAppliedPlanCostAtEveryRrsPoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkflows, PricerOnWorkload,
+                         ::testing::ValuesIn(AllWorkloadAbbrs()),
+                         [](const auto& info) { return info.param; });
+
+/// What Optimize (default options, one thread) chose for a Table 1
+/// workload profiled at 3,000 rows, and the work it did. The values were
+/// read from the optimizer before its plan copies shared split points and
+/// before the schedule simulation dispatched from ordered ready lists; both
+/// changes are meant to move no bit of them.
+struct RecordedOptimize {
+  uint64_t plan_hash;  ///< HashString(ExportPlan(chosen plan))
+  const char* cost;    ///< estimated cost, printed with %a
+  uint64_t whatif_invocations;
+  uint64_t full_predictions;
+  uint64_t job_predictions;
+  uint64_t rrs_evaluations;
+  uint64_t reuse_priced_candidates;
+  int units_processed;
+  int subplans_enumerated;
+};
+
+const std::map<std::string, RecordedOptimize>& RecordedOptimizes() {
+  static const std::map<std::string, RecordedOptimize> recorded = {
+      {"IR",
+       {0x2f655234bd162e44, "0x1.c2f3cb71c7022p+11", 2223, 2223, 4961,
+        2200, 0, 5, 22}},
+      {"SN",
+       {0xbc10158831f4fc33, "0x1.9dd573ff78e0dp+12", 2728, 2728, 8823,
+        2700, 0, 8, 27}},
+      {"LA",
+       {0xe9c19bfbb9dbf8e3, "0x1.9ad7b4bda20ccp+10", 3839, 3839, 11133,
+        3800, 0, 7, 38}},
+      {"WG",
+       {0xb7c5200fd9db8f81, "0x1.527e0d4288b28p+14", 6061, 6061, 17116,
+        6000, 0, 8, 60}},
+      {"BA",
+       {0x22179e1f0e3a03eb, "0x1.1479bb98e09d1p+9", 5354, 5354, 19920,
+        5300, 0, 7, 53}},
+      {"BR",
+       {0xedf1dd1ef6bafd4e, "0x1.0974860006069p+10", 28483, 28483, 127308,
+        28200, 0, 8, 282}},
+      {"PJ",
+       {0x8f954b18d7d3c269, "0x1.0db96ef105c02p+6", 6263, 6263, 12627,
+        6200, 0, 3, 62}},
+      {"US",
+       {0x664ea5f938709059, "0x1.548327ccb14dcp+10", 7071, 7071, 17023,
+        7000, 0, 4, 70}},
+  };
+  return recorded;
+}
+
+class OptimizerOnWorkload : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OptimizerOnWorkload, ChoosesTheRecordedPlan) {
+  auto pin = RecordedOptimizes().find(GetParam());
+  ASSERT_NE(pin, RecordedOptimizes().end()) << GetParam();
+  WorkloadOptions options;
+  options.sample_rows = 3000;
+  auto w = MakeWorkload(GetParam(), options);
+  ASSERT_TRUE(w.ok()) << w.status();
+  Profiler profiler(options.cluster);
+  Dfs dfs = w->dfs;
+  ASSERT_TRUE(profiler.ProfilePlan(&w->plan, &dfs).ok());
+  auto report = StubbyOptimizer().Optimize(w->plan);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  const uint64_t plan_hash = HashString(ExportPlan(report->plan));
+  const std::string cost = StrFormat("%a", report->estimated_cost);
+  const CostInstrumentation& got = report->costing;
+  SCOPED_TRACE(StrFormat(
+      "recorded now: {0x%llx, \"%s\", %llu, %llu, %llu, %llu, %llu, %d, %d}",
+      static_cast<unsigned long long>(plan_hash), cost.c_str(),
+      static_cast<unsigned long long>(got.whatif_invocations),
+      static_cast<unsigned long long>(got.full_predictions),
+      static_cast<unsigned long long>(got.job_predictions),
+      static_cast<unsigned long long>(got.rrs_evaluations),
+      static_cast<unsigned long long>(got.reuse_priced_candidates),
+      report->units_processed, report->subplans_enumerated));
+  const RecordedOptimize& want = pin->second;
+  EXPECT_EQ(plan_hash, want.plan_hash);
+  EXPECT_EQ(cost, want.cost);
+  EXPECT_EQ(got.whatif_invocations, want.whatif_invocations);
+  EXPECT_EQ(got.full_predictions, want.full_predictions);
+  EXPECT_EQ(got.job_predictions, want.job_predictions);
+  EXPECT_EQ(got.rrs_evaluations, want.rrs_evaluations);
+  EXPECT_EQ(got.reuse_priced_candidates, want.reuse_priced_candidates);
+  EXPECT_EQ(report->units_processed, want.units_processed);
+  EXPECT_EQ(report->subplans_enumerated, want.subplans_enumerated);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkflows, OptimizerOnWorkload,
                          ::testing::ValuesIn(AllWorkloadAbbrs()),
                          [](const auto& info) { return info.param; });
 

@@ -510,6 +510,24 @@ TEST(ResultStoreTest, CatalogWithNegativeCounterIsRejected) {
   EXPECT_FALSE(ResultStore::Deserialize(text).ok());
 }
 
+TEST(ResultStoreTest, CatalogWithMistypedValueIsRejected) {
+  // A stored int written as 2.5 used to load truncated to 2 and be served.
+  ResultStore store;
+  store.Register(*MakeStored("x", 40), {{CostKey{1, 1}, ReuseKind::kJobOutput}});
+  const std::string text = store.Serialize();
+  ASSERT_TRUE(ResultStore::Deserialize(text).ok());
+  const std::string first_key = "\"i\",";
+  const size_t at = text.find(first_key);
+  ASSERT_NE(at, std::string::npos) << text;
+  const size_t end = text.find(']', at);
+  ASSERT_NE(end, std::string::npos);
+  std::string corrupted = text;
+  corrupted.replace(at, end - at, "\"i\", 2.5");
+  auto loaded = ResultStore::Deserialize(corrupted);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ResultStoreTest, CatalogWithShortRowIsRejected) {
   // Stored rows are indexed by schema position without bounds checks (by
   // UDFs over a staged snapshot, and as served workflow outputs), so a row

@@ -268,6 +268,60 @@ TEST(SerializeTest, ImportRejectsNonIntegralFields) {
   }
 }
 
+TEST(SerializeTest, ImportRejectsMistypedSplitPointValues) {
+  // A split point is a row of tagged values. Only the type a tag names
+  // imports: "i" an integral number within int64, "d" a number, "s" a
+  // string; and a row must be an array.
+  auto f = MakeChain();
+  ASSERT_TRUE(f.ok());
+  Plan plan = f->plan();
+  PartitionSpec& spec = (*plan.GetMutableJob("Jc"))->branches[0].partition;
+  spec.type = PartitionType::kRange;
+  spec.split_points = {Row{int64_t{7}}};
+  ASSERT_TRUE(plan.Validate().ok());
+  const std::string text = ExportPlan(plan);
+  auto doc = Json::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  PlanFunctionResolver resolver(plan);
+  auto kept = ImportPlan(text, resolver);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(ExportPlan(*kept), text);
+
+  auto with_split = [&](Json row) {
+    bool hit = false;
+    Json edited = ReplaceFirst(*doc, "partition", "splits", row, false, &hit);
+    EXPECT_TRUE(hit);
+    return edited.Dump(2);
+  };
+  auto value = [](const char* tag, Json v) {
+    Json encoded = Json::Array();
+    encoded.Append(tag);
+    encoded.Append(std::move(v));
+    return encoded;
+  };
+  auto row_of = [](Json v) {
+    Json row = Json::Array();
+    row.Append(std::move(v));
+    return row;
+  };
+  const std::vector<Json> bad = {
+      row_of(value("i", 2.5)),    row_of(value("i", 1e300)),
+      row_of(value("i", -1e19)),  row_of(value("i", "7")),
+      row_of(value("d", "7")),    row_of(value("s", 7)),
+      Json(7),                    Json::Object(),
+  };
+  for (const Json& row : bad) {
+    auto imported = ImportPlan(with_split(row), resolver);
+    ASSERT_FALSE(imported.ok()) << row.Dump(-1);
+    EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument)
+        << row.Dump(-1);
+  }
+  auto retyped = ImportPlan(with_split(row_of(value("d", 7.5))), resolver);
+  ASSERT_TRUE(retyped.ok()) << retyped.status();
+  EXPECT_EQ((*retyped->GetJob("Jc"))->branches[0].partition.split_points[0],
+            Row{7.5});
+}
+
 TEST(SerializeTest, MaterializedFromRoundTrips) {
   // Reuse-rewritten plans mark stored-dataset scans via materialized_from;
   // exported artifacts must keep the marker so re-imported plans still

@@ -411,7 +411,9 @@ TEST(PartitionFnTest, BasePruningAgainstAnnotatedRangeLayout) {
   spec.type = PartitionType::kRange;
   spec.partition_fields = {"k"};
   spec.sort_fields = {"k"};
-  for (int s = 10; s < 100; s += 10) spec.split_points.push_back(Row{s});
+  std::vector<Row> splits;
+  for (int s = 10; s < 100; s += 10) splits.push_back(Row{s});
+  spec.split_points = std::move(splits);
   layout.partitioning = spec;
   ASSERT_TRUE(f.AddBase("IN", schema, layout, 10, rows, testing::kGB).ok());
   ASSERT_TRUE(f.AddDataset("OUT", Schema({"k", "s"}), true).ok());
