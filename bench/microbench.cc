@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "bench_common.h"
@@ -303,7 +304,9 @@ BENCHMARK(BM_SimulateScheduleBR);
 
 // Profiling BR at 5,000 rows (one observed run per job), beside a plain
 // job-by-job run of the same plan: their ratio is what profiling adds to
-// executing.
+// executing. The plain run goes twice: threads:1 without a pool, and
+// threads:4 on a 4-thread pool, where reduce tasks free the rows map tasks
+// made on other threads.
 void BM_ProfilePlanBR(benchmark::State& state) {
   WorkloadOptions options;
   options.sample_rows = 5000;
@@ -325,7 +328,10 @@ void BM_JobRunnerBR(benchmark::State& state) {
   STUBBY_CHECK_OK(w.status());
   auto order = w->plan.TopologicalOrder();
   STUBBY_CHECK_OK(order.status());
-  JobRunner runner(options.cluster);
+  const int threads = static_cast<int>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  JobRunner runner(options.cluster, pool.get());
   for (auto _ : state) {
     Dfs dfs = w->dfs;
     for (const std::string& jid : *order) {
@@ -335,7 +341,11 @@ void BM_JobRunnerBR(benchmark::State& state) {
     benchmark::DoNotOptimize(dfs);
   }
 }
-BENCHMARK(BM_JobRunnerBR)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JobRunnerBR)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // The reduce-side sort on an input shaped like BR J1's: 30,000 rows of
 // three int key fields (and a value) arriving as sorted pieces of 4 rows,

@@ -12,39 +12,112 @@ namespace {
 constexpr uint64_t kRowOverheadBytes = 4;  // framing / length prefix
 }
 
+Row::Row(std::initializer_list<Value> values) : Row() {
+  CopyFrom({values.begin(), values.size()});
+}
+
+Row::Row(std::vector<Value> values) : Row() {
+  InitCapacity(values.size());
+  Value* out = data();
+  for (Value& v : values) {
+    new (out + size_) Value(std::move(v));
+    ++size_;
+  }
+}
+
+Row::Row(const Row& other) : Row() { CopyFrom(other.values()); }
+
+Row& Row::operator=(const Row& other) {
+  if (this != &other) {
+    Clear();
+    CopyFrom(other.values());
+  }
+  return *this;
+}
+
+void Row::CopyFrom(std::span<const Value> values) {
+  InitCapacity(values.size());
+  Value* out = data();
+  for (const Value& v : values) {
+    new (out + size_) Value(v);
+    ++size_;
+  }
+}
+
+void Row::InitCapacity(size_t n) {
+  if (n <= kInline) return;
+  heap_ = static_cast<Value*>(::operator new(n * sizeof(Value)));
+  capacity_ = static_cast<uint32_t>(n);
+}
+
+void Row::Grow(size_t n) {
+  const size_t capacity = std::max<size_t>(n, 2 * size_t{capacity_});
+  Value* block = static_cast<Value*>(::operator new(capacity * sizeof(Value)));
+  Value* v = data();
+  for (uint32_t i = 0; i < size_; ++i) {
+    new (block + i) Value(std::move(v[i]));
+    v[i].~Value();
+  }
+  if (spilled()) ::operator delete(heap_);
+  heap_ = block;
+  capacity_ = static_cast<uint32_t>(capacity);
+}
+
+void Row::Append(Value v) {
+  if (size_ == capacity_) Grow(size_ + 1);
+  new (data() + size_) Value(std::move(v));
+  ++size_;
+}
+
 uint64_t Row::SerializedSize() const {
   uint64_t total = kRowOverheadBytes;
-  for (const auto& v : values_) total += v.SerializedSize();
+  for (const Value& v : values()) total += v.SerializedSize();
   return total;
 }
 
 Row Row::Project(const std::vector<size_t>& indices) const {
   Row out;
-  out.values_.reserve(indices.size());
-  for (size_t i : indices) out.values_.push_back(values_[i]);
+  out.InitCapacity(indices.size());
+  Value* dst = out.data();
+  for (size_t i : indices) {
+    new (dst + out.size_) Value((*this)[i]);
+    ++out.size_;
+  }
   return out;
 }
 
-bool Row::operator<(const Row& other) const {
-  size_t n = std::min(values_.size(), other.values_.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (values_[i] < other.values_[i]) return true;
-    if (other.values_[i] < values_[i]) return false;
+bool Row::operator==(const Row& other) const {
+  if (size_ != other.size_) return false;
+  const Value* a = data();
+  const Value* b = other.data();
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (a[i] != b[i]) return false;
   }
-  return values_.size() < other.values_.size();
+  return true;
+}
+
+bool Row::operator<(const Row& other) const {
+  const Value* a = data();
+  const Value* b = other.data();
+  const uint32_t n = std::min(size_, other.size_);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (a[i] < b[i]) return true;
+    if (b[i] < a[i]) return false;
+  }
+  return size_ < other.size_;
 }
 
 uint64_t Row::Hash() const {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& v : values_) h = HashCombine(h, v.Hash());
+  for (const Value& v : values()) h = HashCombine(h, v.Hash());
   return h;
 }
 
 std::string Row::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += (*this)[i].ToString();
   }
   out += ")";
   return out;
@@ -62,7 +135,8 @@ int CompareOnFields(const Row& a, const Row& b,
 namespace {
 
 /// One sort field of one row, as Value::operator< reads it: a number as
-/// its double (an int compares as its double), or the row's string.
+/// its double (an int compares as its double), or the value's heap string
+/// (it stays put when the rows are moved into order).
 struct SortKey {
   double number = 0.0;
   const std::string* string = nullptr;  ///< null for a number

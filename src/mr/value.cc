@@ -1,6 +1,8 @@
 #include "mr/value.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/strings.h"
 
@@ -51,6 +53,14 @@ uint64_t Value::Hash() const {
   static_assert(sizeof(bits) == sizeof(d));
   __builtin_memcpy(&bits, &d, sizeof(bits));
   return HashCombine(bits, 0x5bd1e995);
+}
+
+void Value::WrongKind(const char* accessor) const {
+  const char* held = kind_ == Kind::kInt      ? "int"
+                     : kind_ == Kind::kDouble ? "double"
+                                              : "string";
+  std::fprintf(stderr, "Value::%s called on a %s value\n", accessor, held);
+  std::abort();
 }
 
 std::string Value::ToString() const {

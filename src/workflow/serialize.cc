@@ -120,11 +120,21 @@ Json StringsToJson(const std::vector<std::string>& v) {
   return arr;
 }
 
-std::vector<std::string> StringsFromJson(const Json* j) {
+/// The strings of array field `key` of object `j`; empty when the field is
+/// absent. A present field that is not an array of strings is corrupt.
+Result<std::vector<std::string>> StringsFromJson(const Json& j,
+                                                 const std::string& key) {
   std::vector<std::string> out;
-  if (j == nullptr || !j->is_array()) return out;
-  for (const Json& s : j->items()) {
-    if (s.is_string()) out.push_back(s.AsString());
+  const Json* arr = j.Find(key);
+  if (arr == nullptr) return out;
+  if (!arr->is_array()) {
+    return Status::InvalidArgument("'" + key + "' is not an array");
+  }
+  for (const Json& s : arr->items()) {
+    if (!s.is_string()) {
+      return Status::InvalidArgument("'" + key + "' holds a non-string");
+    }
+    out.push_back(s.AsString());
   }
   return out;
 }
@@ -160,10 +170,14 @@ Json PartitionSpecToJson(const PartitionSpec& p) {
 
 Result<PartitionSpec> PartitionSpecFromJson(const Json& j) {
   PartitionSpec p;
-  p.type = j.GetString("type") == "range" ? PartitionType::kRange
-                                          : PartitionType::kHash;
-  p.partition_fields = StringsFromJson(j.Find("fields"));
-  p.sort_fields = StringsFromJson(j.Find("sort"));
+  const std::string type = j.GetString("type");
+  if (type == PartitionTypeName(PartitionType::kRange)) {
+    p.type = PartitionType::kRange;
+  } else if (type != PartitionTypeName(PartitionType::kHash)) {
+    return Status::InvalidArgument("unknown partition type '" + type + "'");
+  }
+  STUBBY_ASSIGN_OR_RETURN(p.partition_fields, StringsFromJson(j, "fields"));
+  STUBBY_ASSIGN_OR_RETURN(p.sort_fields, StringsFromJson(j, "sort"));
   if (const Json* splits = j.Find("splits"); splits != nullptr) {
     std::vector<Row> rows;
     for (const Json& r : splits->items()) {
@@ -197,7 +211,7 @@ Result<Layout> LayoutFromJson(const Json& j) {
     STUBBY_ASSIGN_OR_RETURN(PartitionSpec spec, PartitionSpecFromJson(*p));
     layout.partitioning = std::move(spec);
   }
-  layout.order_fields = StringsFromJson(j.Find("order"));
+  STUBBY_ASSIGN_OR_RETURN(layout.order_fields, StringsFromJson(j, "order"));
   layout.compressed = j.GetBool("compressed");
   layout.block_mb = j.GetNumber("block_mb", 64.0);
   return layout;
@@ -270,7 +284,7 @@ Result<Stage> StageFromJson(const Json& j, const FunctionResolver& resolver) {
   } else {
     s.kind = Stage::Kind::kReduce;
     STUBBY_ASSIGN_OR_RETURN(s.reduce_fn, resolver.ResolveReduce(fn));
-    s.group_fields = StringsFromJson(j.Find("group"));
+    STUBBY_ASSIGN_OR_RETURN(s.group_fields, StringsFromJson(j, "group"));
   }
   if (const Json* stats = j.Find("stats"); stats != nullptr) {
     s.stats = StatsFromJson(*stats);
@@ -627,7 +641,9 @@ Result<Plan> PlanFromJson(const Json& json,
   for (const Json& d : datasets->items()) {
     DatasetVertex v;
     v.id = d.GetString("id");
-    v.schema = Schema(StringsFromJson(d.Find("schema")));
+    STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> schema,
+                            StringsFromJson(d, "schema"));
+    v.schema = Schema(std::move(schema));
     if (const Json* layout = d.Find("layout"); layout != nullptr) {
       STUBBY_ASSIGN_OR_RETURN(v.layout, LayoutFromJson(*layout));
     }
@@ -635,8 +651,10 @@ Result<Plan> PlanFromJson(const Json& json,
     v.is_workflow_output = d.GetBool("workflow_output");
     v.materialized_from = d.GetString("materialized_from");
     if (const Json* ann = d.Find("annotation"); ann != nullptr) {
-      if (const Json* s = ann->Find("schema"); s != nullptr) {
-        v.annotation.schema = Schema(StringsFromJson(s));
+      if (ann->Find("schema") != nullptr) {
+        STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> fields,
+                                StringsFromJson(*ann, "schema"));
+        v.annotation.schema = Schema(std::move(fields));
       }
       if (const Json* layout = ann->Find("layout"); layout != nullptr) {
         STUBBY_ASSIGN_OR_RETURN(Layout l, LayoutFromJson(*layout));
@@ -709,11 +727,15 @@ Result<Plan> PlanFromJson(const Json& json,
           STUBBY_ASSIGN_OR_RETURN(Stage s, StageFromJson(sj, resolver));
           b.merged_map_stages.push_back(std::move(s));
         }
-        b.merge_schema = Schema(StringsFromJson(bj.Find("merge_schema")));
-        b.merge_sort_fields = StringsFromJson(bj.Find("merge_sort"));
+        STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> merge_schema,
+                                StringsFromJson(bj, "merge_schema"));
+        b.merge_schema = Schema(std::move(merge_schema));
+        STUBBY_ASSIGN_OR_RETURN(b.merge_sort_fields,
+                                StringsFromJson(bj, "merge_sort"));
       }
-      b.map_output_schema =
-          Schema(StringsFromJson(bj.Find("map_output_schema")));
+      STUBBY_ASSIGN_OR_RETURN(std::vector<std::string> map_output_schema,
+                              StringsFromJson(bj, "map_output_schema"));
+      b.map_output_schema = Schema(std::move(map_output_schema));
       if (const Json* reduce = bj.Find("reduce_stages"); reduce != nullptr) {
         for (const Json& sj : reduce->items()) {
           STUBBY_ASSIGN_OR_RETURN(Stage s, StageFromJson(sj, resolver));
@@ -745,7 +767,8 @@ Result<Plan> PlanFromJson(const Json& json,
             spec.probe_inputs.push_back(static_cast<size_t>(probe));
           }
         }
-        spec.key_fields = StringsFromJson(bl->Find("key_fields"));
+        STUBBY_ASSIGN_OR_RETURN(spec.key_fields,
+                                StringsFromJson(*bl, "key_fields"));
         STUBBY_ASSIGN_OR_RETURN(spec.bits_log2,
                                 IntFieldOr(*bl, "bits_log2", 20));
         STUBBY_ASSIGN_OR_RETURN(spec.num_hashes,

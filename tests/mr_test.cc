@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "mr/job_config.h"
 #include "mr/partitioner.h"
 #include "mr/schema.h"
@@ -43,6 +47,62 @@ TEST(ValueTest, SerializedSize) {
   EXPECT_EQ(Value("abcd").SerializedSize(), 8u);  // 4 prefix + 4 bytes
 }
 
+TEST(ValueTest, CopiesOwnTheirStringsAndMovesLeaveIntZero) {
+  // Empty, 15 characters (libstdc++'s small-string limit) and 40.
+  for (const std::string& text :
+       {std::string(), std::string(15, 'q'), std::string(40, 'z')}) {
+    Value a(text);
+    Value b(a);
+    EXPECT_EQ(b.AsString(), text);
+    EXPECT_NE(&b.AsString(), &a.AsString());  // deep copy
+
+    const std::string* chars = &a.AsString();
+    Value c(std::move(a));
+    EXPECT_EQ(&c.AsString(), chars);  // the string moves with its block
+    ASSERT_TRUE(a.is_int());          // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.AsInt(), 0);
+
+    // Assignment between every pair of kinds.
+    Value d(1.5);
+    d = c;
+    EXPECT_EQ(d.AsString(), text);
+    EXPECT_NE(&d.AsString(), &c.AsString());
+    d = b;  // string over string
+    EXPECT_EQ(d.AsString(), text);
+    d = Value(int64_t{3});
+    EXPECT_EQ(d.AsInt(), 3);
+    d = std::move(c);
+    EXPECT_EQ(&d.AsString(), chars);
+    ASSERT_TRUE(c.is_int());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c.AsInt(), 0);
+    c = std::move(b);  // a moved-from value is reusable
+    EXPECT_EQ(c.AsString(), text);
+    d = 2.5;
+    EXPECT_EQ(d.AsDouble(), 2.5);
+
+    // Self-assignment keeps the value.
+    Value& alias = c;
+    c = alias;
+    EXPECT_EQ(c.AsString(), text);
+    c = std::move(alias);
+    EXPECT_EQ(c.AsString(), text);
+  }
+  Value number(2.5);
+  Value taken(std::move(number));
+  EXPECT_EQ(taken.AsDouble(), 2.5);
+  ASSERT_TRUE(number.is_int());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(number.AsInt(), 0);
+}
+
+TEST(ValueDeathTest, WrongKindAccessorEndsTheProcess) {
+  EXPECT_DEATH((void)Value(1.5).AsInt(), "AsInt called on a double");
+  EXPECT_DEATH((void)Value("7").AsInt(), "AsInt called on a string");
+  EXPECT_DEATH((void)Value("7").AsDouble(), "AsDouble called on a string");
+  EXPECT_DEATH((void)Value(int64_t{7}).AsString(),
+               "AsString called on a int");
+  EXPECT_DEATH((void)Value(7.0).AsString(), "AsString called on a double");
+}
+
 TEST(RowTest, ProjectAndCompare) {
   Row r{int64_t{1}, "x", 2.5};
   Row p = r.Project({2, 0});
@@ -56,6 +116,154 @@ TEST(RowTest, ProjectAndCompare) {
   EXPECT_LT(CompareOnFields(a, b, {0, 1}), 0);
   EXPECT_TRUE(EqualOnFields(a, b, {0}));
   EXPECT_FALSE(EqualOnFields(a, b, {1}));
+}
+
+/// `n` values cycling through every kind: ints, doubles and strings of
+/// 0, 15 and 40 characters. `salt` varies the contents.
+std::vector<Value> MixedValues(size_t n, int salt) {
+  std::vector<Value> out;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = static_cast<int64_t>(i) + salt;
+    switch (k % 5) {
+      case 0: out.emplace_back(k * 7); break;
+      case 1: out.emplace_back(0.5 * static_cast<double>(k)); break;
+      case 2: out.emplace_back(std::string()); break;
+      case 3:
+        out.emplace_back(std::string(15, static_cast<char>('a' + k % 26)));
+        break;
+      default:
+        out.emplace_back(std::string(40, 'z') + std::to_string(k));
+        break;
+    }
+  }
+  return out;
+}
+
+/// Checks every reader of `row` against the same reader computed from
+/// `ref`, the plain vector of values the row should hold.
+void ExpectRowIs(const Row& row, const std::vector<Value>& ref) {
+  ASSERT_EQ(row.size(), ref.size());
+  EXPECT_EQ(row.empty(), ref.empty());
+  const std::span<const Value> values = row.values();
+  ASSERT_EQ(values.size(), ref.size());
+  uint64_t bytes = 4;  // per-row framing
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  std::string text = "(";
+  for (size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(&values[i], &row[i]);
+    EXPECT_EQ(row[i].is_int(), ref[i].is_int()) << i;
+    EXPECT_EQ(row[i].is_string(), ref[i].is_string()) << i;
+    EXPECT_EQ(row[i], ref[i]) << i;
+    bytes += ref[i].SerializedSize();
+    hash = HashCombine(hash, ref[i].Hash());
+    if (i > 0) text += ", ";
+    text += ref[i].ToString();
+  }
+  EXPECT_EQ(row.SerializedSize(), bytes);
+  EXPECT_EQ(row.Hash(), hash);
+  EXPECT_EQ(row.ToString(), text + ")");
+}
+
+TEST(RowTest, EveryWidthAgreesWithAVectorOfValues) {
+  std::vector<std::vector<Value>> refs;
+  std::vector<Row> rows;
+  for (size_t n = 0; n <= 7; ++n) {
+    for (int salt : {0, 3}) {
+      const std::vector<Value> ref = MixedValues(n, salt);
+      const Row built(ref);
+      Row appended;
+      for (const Value& v : ref) appended.Append(v);
+      ExpectRowIs(built, ref);
+      ExpectRowIs(appended, ref);
+      EXPECT_EQ(built, appended);
+      refs.push_back(ref);
+      rows.push_back(built);
+    }
+  }
+  // == and < over every pair read as the vectors of values read.
+  for (size_t a = 0; a < rows.size(); ++a) {
+    for (size_t b = 0; b < rows.size(); ++b) {
+      const bool equal = refs[a].size() == refs[b].size() &&
+                         std::equal(refs[a].begin(), refs[a].end(),
+                                    refs[b].begin());
+      const bool less = std::lexicographical_compare(
+          refs[a].begin(), refs[a].end(), refs[b].begin(), refs[b].end());
+      EXPECT_EQ(rows[a] == rows[b], equal) << a << " " << b;
+      EXPECT_EQ(rows[a] < rows[b], less) << a << " " << b;
+    }
+  }
+}
+
+TEST(RowTest, CopyAndMoveInEveryDirection) {
+  // Widths 0, 1 and 4 are inline, 5 and 7 spilled.
+  const std::vector<size_t> widths = {0, 1, 4, 5, 7};
+  for (size_t from : widths) {
+    const std::vector<Value> src_ref = MixedValues(from, 1);
+    const Row src(src_ref);
+    {
+      Row copy(src);
+      ExpectRowIs(copy, src_ref);
+      ExpectRowIs(src, src_ref);
+      for (size_t i = 0; i < from; ++i) {
+        if (src[i].is_string()) {
+          EXPECT_NE(&copy[i].AsString(), &src[i].AsString());
+        }
+      }
+      std::vector<const std::string*> chars;
+      for (size_t i = 0; i < from; ++i) {
+        chars.push_back(copy[i].is_string() ? &copy[i].AsString() : nullptr);
+      }
+      Row moved(std::move(copy));
+      ExpectRowIs(moved, src_ref);
+      EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+      for (size_t i = 0; i < from; ++i) {
+        if (chars[i] != nullptr) {
+          EXPECT_EQ(&moved[i].AsString(), chars[i]);
+        }
+      }
+      // A moved-from row is reusable, past the inline values too.
+      const std::vector<Value> again = MixedValues(6, 2);
+      for (const Value& v : again) copy.Append(v);
+      ExpectRowIs(copy, again);
+    }
+    for (size_t to : widths) {
+      const std::vector<Value> dst_ref = MixedValues(to, 4);
+      Row copied(dst_ref);
+      copied = src;
+      ExpectRowIs(copied, src_ref);
+      ExpectRowIs(src, src_ref);
+      Row moved(dst_ref);
+      Row donor(src);
+      moved = std::move(donor);
+      ExpectRowIs(moved, src_ref);
+      EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
+      donor = Row(dst_ref);
+      ExpectRowIs(donor, dst_ref);
+    }
+    Row self(src_ref);
+    Row& alias = self;
+    self = alias;
+    ExpectRowIs(self, src_ref);
+    self = std::move(alias);
+    ExpectRowIs(self, src_ref);
+  }
+}
+
+TEST(RowTest, AppendPastInlineAndProjectBothWays) {
+  Row row;
+  std::vector<Value> ref;
+  for (const Value& v : MixedValues(9, 2)) {
+    row.Append(v);
+    ref.push_back(v);
+    ExpectRowIs(row, ref);
+  }
+  // Narrower: a spilled row projected to two values.
+  ExpectRowIs(row.Project({6, 0}), {ref[6], ref[0]});
+  // Wider: an inline row projected to six values, repeats included.
+  const Row narrow = row.Project({1, 2, 3});
+  ExpectRowIs(narrow.Project({0, 1, 2, 2, 1, 0}),
+              {ref[1], ref[2], ref[3], ref[3], ref[2], ref[1]});
+  ExpectRowIs(narrow.Project({}), {});
 }
 
 TEST(RowTest, LexicographicOrdering) {
@@ -285,9 +493,8 @@ TEST(RangePartitionerTest, MatchesUpperBoundOverTheProjectedKey) {
       auto row_with_key = [&](const Row& key) {
         Row row;
         for (size_t f = 0; f < 5; ++f) row.Append(value());
-        std::vector<Value> values = row.values();
-        for (size_t f = 0; f < arity; ++f) values[key_at[f]] = key[f];
-        return Row(std::move(values));
+        for (size_t f = 0; f < arity; ++f) row[key_at[f]] = key[f];
+        return row;
       };
       std::vector<Row> rows;
       for (const Row& split : splits) rows.push_back(row_with_key(split));

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "common/json.h"
 #include "optimizer/stubby.h"
 #include "test_workflows.h"
@@ -159,15 +162,17 @@ TEST(SerializeTest, ImportRejectsBadPinnedReduceTaskCount) {
 }
 
 /// `doc` with the first `key` (depth-first, in document order) that lies
-/// inside a `within` object replaced by `value`; when the old value is an
-/// array, only its first element is replaced. `*hit` says whether one was.
-Json ReplaceFirst(const Json& doc, const std::string& within,
-                  const std::string& key, const Json& value, bool inside,
-                  bool* hit) {
+/// inside a `within` object passed through `edit`: the key keeps what
+/// `edit` returns, or is dropped when it returns nullopt. `*hit` says
+/// whether one was found.
+Json EditFirst(const Json& doc, const std::string& within,
+               const std::string& key,
+               const std::function<std::optional<Json>(const Json&)>& edit,
+               bool inside, bool* hit) {
   if (doc.is_array()) {
     Json out = Json::Array();
     for (const Json& item : doc.items()) {
-      out.Append(ReplaceFirst(item, within, key, value, inside, hit));
+      out.Append(EditFirst(item, within, key, edit, inside, hit));
     }
     return out;
   }
@@ -176,19 +181,30 @@ Json ReplaceFirst(const Json& doc, const std::string& within,
   for (const auto& [k, v] : doc.fields()) {
     if (!*hit && inside && k == key) {
       *hit = true;
-      if (v.is_array() && v.size() > 0) {
-        Json items = Json::Array();
-        items.Append(value);
-        for (size_t i = 1; i < v.size(); ++i) items.Append(v.items()[i]);
-        out[k] = std::move(items);
-      } else {
-        out[k] = value;
-      }
+      if (std::optional<Json> edited = edit(v)) out[k] = std::move(*edited);
     } else {
-      out[k] = ReplaceFirst(v, within, key, value, inside || k == within, hit);
+      out[k] = EditFirst(v, within, key, edit, inside || k == within, hit);
     }
   }
   return out;
+}
+
+/// `doc` with the first `key` inside a `within` object replaced by
+/// `value`; when the old value is an array, only its first element is
+/// replaced.
+Json ReplaceFirst(const Json& doc, const std::string& within,
+                  const std::string& key, const Json& value, bool inside,
+                  bool* hit) {
+  return EditFirst(
+      doc, within, key,
+      [&](const Json& old) -> std::optional<Json> {
+        if (!old.is_array() || old.size() == 0) return value;
+        Json items = Json::Array();
+        items.Append(value);
+        for (size_t i = 1; i < old.size(); ++i) items.Append(old.items()[i]);
+        return items;
+      },
+      inside, hit);
 }
 
 TEST(SerializeTest, ImportRejectsNonIntegralFields) {
@@ -266,6 +282,70 @@ TEST(SerializeTest, ImportRejectsNonIntegralFields) {
     ASSERT_TRUE(imported.ok()) << imported.status();
     EXPECT_EQ(ExportPlan(*imported), exported);
   }
+}
+
+TEST(SerializeTest, ImportRejectsCorruptPartitionSpecs) {
+  // A partition spec's type is "hash" or "range", and its field lists (and
+  // a layout's order) are arrays of strings. Anything else is a corrupt
+  // plan file, not another partition function, so it must not import. An
+  // absent list still reads as empty.
+  WorkloadOptions wopts;
+  wopts.sample_rows = 2000;
+  auto w = MakeWorkload("BR", wopts);
+  ASSERT_TRUE(w.ok()) << w.status();
+  Profiler profiler(w->plan.cluster());
+  Dfs dfs = w->dfs;
+  ASSERT_TRUE(profiler.ProfilePlan(&w->plan, &dfs).ok());
+  auto optimized = StubbyOptimizer().Optimize(w->plan);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  const std::string text = ExportPlan(optimized->plan);
+  PlanFunctionResolver resolver(optimized->plan);
+  auto kept = ImportPlan(text, resolver);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(ExportPlan(*kept), text);
+  auto doc = Json::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  struct Corruption {
+    const char* within;
+    const char* key;
+    Json value;
+    bool whole;  ///< replace the whole value, not an array's first entry
+  };
+  const Corruption corruptions[] = {
+      {"partition", "type", Json("bogus"), true},
+      {"partition", "type", Json(1), true},
+      {"partition", "fields", Json(7), false},
+      {"partition", "fields", Json("K"), true},
+      {"partition", "sort", Json::Object(), true},
+      {"partitioning", "type", Json("bogus"), true},
+      {"partitioning", "sort", Json(7), false},
+      {"layout", "order", Json(2.5), false},
+      {"layout", "order", Json("K"), true},
+  };
+  for (const Corruption& c : corruptions) {
+    bool hit = false;
+    const Json edited =
+        c.whole ? EditFirst(
+                      *doc, c.within, c.key,
+                      [&](const Json&) { return std::optional<Json>(c.value); },
+                      false, &hit)
+                : ReplaceFirst(*doc, c.within, c.key, c.value, false, &hit);
+    ASSERT_TRUE(hit) << c.within << "." << c.key;
+    auto imported = ImportPlan(edited.Dump(2), resolver);
+    ASSERT_FALSE(imported.ok())
+        << c.within << "." << c.key << " = " << c.value.Dump(-1);
+    EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument)
+        << c.within << "." << c.key << ": " << imported.status();
+  }
+
+  bool hit = false;
+  const Json without = EditFirst(
+      *doc, "layout", "order",
+      [](const Json&) { return std::optional<Json>(); }, false, &hit);
+  ASSERT_TRUE(hit);
+  auto imported = ImportPlan(without.Dump(2), resolver);
+  ASSERT_TRUE(imported.ok()) << imported.status();
 }
 
 TEST(SerializeTest, ImportRejectsMistypedSplitPointValues) {
