@@ -305,8 +305,8 @@ BENCHMARK(BM_SimulateScheduleBR);
 // Profiling BR at 5,000 rows (one observed run per job), beside a plain
 // job-by-job run of the same plan: their ratio is what profiling adds to
 // executing. The plain run goes twice: threads:1 without a pool, and
-// threads:4 on a 4-thread pool, where reduce tasks free the rows map tasks
-// made on other threads.
+// threads:4 on a 4-thread pool, where reduce tasks move rows out of buffers
+// map tasks filled on other threads.
 void BM_ProfilePlanBR(benchmark::State& state) {
   WorkloadOptions options;
   options.sample_rows = 5000;
@@ -321,27 +321,56 @@ void BM_ProfilePlanBR(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilePlanBR)->Unit(benchmark::kMillisecond);
 
+// Runs `plan` job by job on `data`, on as many threads as the benchmark's
+// argument says (1: without a pool).
+void RunJobByJob(benchmark::State& state, const Plan& plan, const Dfs& data,
+                 const ClusterSpec& cluster) {
+  auto order = plan.TopologicalOrder();
+  STUBBY_CHECK_OK(order.status());
+  const int threads = static_cast<int>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  JobRunner runner(cluster, pool.get());
+  int max_reduce_tasks = 0;
+  for (const std::string& jid : *order) {
+    max_reduce_tasks = std::max(
+        max_reduce_tasks, (*plan.GetJob(jid))->EffectiveReduceTasks());
+  }
+  for (auto _ : state) {
+    Dfs dfs = data;
+    for (const std::string& jid : *order) {
+      STUBBY_CHECK_OK(runner.Run(plan, **plan.GetJob(jid), &dfs).status());
+    }
+    benchmark::DoNotOptimize(dfs);
+  }
+  state.counters["max_reduce_tasks"] = max_reduce_tasks;
+}
+
 void BM_JobRunnerBR(benchmark::State& state) {
   WorkloadOptions options;
   options.sample_rows = 5000;
   auto w = MakeWorkload("BR", options);
   STUBBY_CHECK_OK(w.status());
-  auto order = w->plan.TopologicalOrder();
-  STUBBY_CHECK_OK(order.status());
-  const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  JobRunner runner(options.cluster, pool.get());
-  for (auto _ : state) {
-    Dfs dfs = w->dfs;
-    for (const std::string& jid : *order) {
-      STUBBY_CHECK_OK(
-          runner.Run(w->plan, **w->plan.GetJob(jid), &dfs).status());
-    }
-    benchmark::DoNotOptimize(dfs);
-  }
+  RunJobByJob(state, w->plan, w->dfs, options.cluster);
 }
 BENCHMARK(BM_JobRunnerBR)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The Stubby-optimized BR plan run job by job on the same data: its
+// shuffles go to up to 204 reduce tasks, where the unoptimized plan's go to
+// one, so each map task's output is partitioned, sorted and combined into
+// many reduce partitions.
+void BM_JobRunnerOptimizedBR(benchmark::State& state) {
+  WorkloadOptions options;
+  options.sample_rows = 5000;
+  auto w = MakeWorkload("BR", options);
+  STUBBY_CHECK_OK(w.status());
+  RunJobByJob(state, OptimizedBr(), w->dfs, options.cluster);
+}
+BENCHMARK(BM_JobRunnerOptimizedBR)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(4)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "common/threading.h"
 #include "exec/wrappers.h"
@@ -14,12 +15,6 @@ namespace stubby {
 namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
-
-uint64_t RowsBytes(const std::vector<Row>& rows) {
-  uint64_t b = 0;
-  for (const Row& r : rows) b += r.SerializedSize();
-  return b;
-}
 
 /// Sorts `runs` on value and folds runs of equal values into one.
 void FoldRuns(ValueRuns<double>* runs) {
@@ -142,24 +137,16 @@ struct DatasetBuilder {
   }
 };
 
-/// One sorted (and possibly combined) reduce bucket produced by a map task.
-struct ShuffleBucket {
-  size_t r = 0;
-  uint64_t sorted_bytes = 0;  ///< pre-combine, post-sort
-  uint64_t pre_records = 0;   ///< pre-combine
-  std::vector<Row> rows;      ///< after the (physical) combiner
-};
-
-/// Partitioned/sorted/combined map output of one task for one branch. Pure
-/// task-side data: all dataflow accounting happens when it is merged, in
-/// task order.
+/// Map output of one task for one shuffle branch: one buffer sorted on
+/// (partition, key) and combined partition by partition, with its
+/// partitions' ranges (ShuffleMapOutput). Pure task-side data: all dataflow
+/// accounting happens when it is merged, in task order.
 struct ShuffledOutput {
-  uint64_t out_bytes = 0;
   size_t out_records = 0;
   /// One K2 group hash per map-output row, in output order; only when the
   /// branch's combiner runs or the run is observed (nothing else reads them).
   std::vector<uint64_t> group_hashes;
-  std::vector<ShuffleBucket> buckets;  ///< ascending r, non-empty only
+  ShuffledRows buffer;
 };
 
 /// One task's map output for one branch, and what an observed run saw of
@@ -244,10 +231,15 @@ Result<JobDataflow> JobRunner::Run(
     std::vector<size_t> partition_sort_indices;  // in map-output schema
     std::vector<size_t> group_indices;           // combiner grouping
     std::optional<Partitioner> partitioner;
-    // reduce_buckets[r]: the pieces destined for reduce task r, one per
-    // map task in task order (reduce task r concatenates them), plus
-    // scaled accounting (pre-combine) for skew measurement.
-    std::vector<std::vector<std::vector<Row>>> reduce_buckets;
+    // The shuffle: buffers holds the map tasks' sorted, combined output
+    // rows, one buffer per task that kept any, in task order; spans[r] the
+    // ranges of them reduce task r reads, in task order. A stored buffer is
+    // never resized, so its spans stay valid, and reduce task r moves only
+    // its own ranges' rows out. The buffers are freed once the reduce
+    // phase is done. Beside them, per reduce task, scaled accounting
+    // (pre-combine) for skew measurement.
+    std::vector<std::vector<Row>> buffers;
+    std::vector<std::vector<std::span<Row>>> spans;
     std::vector<double> bucket_scaled_bytes;      // pre-combine, logical
     std::vector<double> bucket_scaled_records;    // pre-combine, logical
     std::vector<uint64_t> bucket_physical_records;       // pre-combine
@@ -281,7 +273,7 @@ Result<JobDataflow> JobRunner::Run(
     std::vector<std::string> group = b.GroupFields();
     STUBBY_ASSIGN_OR_RETURN(st.group_indices,
                             b.map_output_schema.IndicesOf(group));
-    st.reduce_buckets.assign(static_cast<size_t>(R), {});
+    st.spans.assign(static_cast<size_t>(R), {});
     st.bucket_scaled_bytes.assign(static_cast<size_t>(R), 0.0);
     st.bucket_scaled_records.assign(static_cast<size_t>(R), 0.0);
     st.bucket_physical_records.assign(static_cast<size_t>(R), 0);
@@ -315,16 +307,16 @@ Result<JobDataflow> JobRunner::Run(
     tee.clear();
   };
 
-  // Task side of the shuffle: partition one map task's output for branch
-  // `bi`, sort each bucket, and run the combiner physically (so the reduce
-  // functions see combined rows). Reads branch state, never writes it.
+  // Task side of the shuffle: partition, sort and combine one map task's
+  // output for branch `bi` into one buffer, running the combiner physically
+  // (so the reduce functions see combined rows). Reads branch state, never
+  // writes it.
   auto compute_shuffle = [&](size_t bi,
                              std::vector<Row> rows) -> ShuffledOutput {
     const Branch& b = job.branches[bi];
     const BranchState& st = bstate[bi];
     const bool combine = job.config.use_combiner && b.combiner != nullptr;
     ShuffledOutput so;
-    so.out_bytes = RowsBytes(rows);
     so.out_records = rows.size();
     if (combine || observe) {
       so.group_hashes.reserve(rows.size());
@@ -332,38 +324,21 @@ Result<JobDataflow> JobRunner::Run(
         so.group_hashes.push_back(HashOnFields(row, st.group_indices));
       }
     }
-    std::vector<std::vector<Row>> buckets(static_cast<size_t>(R));
-    for (Row& row : rows) {
-      int r = st.partitioner->PartitionOf(row, R);
-      buckets[static_cast<size_t>(r)].push_back(std::move(row));
-    }
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      auto& bucket = buckets[r];
-      if (bucket.empty()) continue;
-      StableSortOnFields(&bucket, st.partition_sort_indices);
-      ShuffleBucket sb;
-      sb.r = r;
-      sb.sorted_bytes = RowsBytes(bucket);
-      sb.pre_records = bucket.size();
-      if (combine) {
-        double combine_cpu = 0.0;
-        bucket = RunCombiner(*b.combiner, std::move(bucket), st.group_indices,
-                             &combine_cpu);
-      }
-      sb.rows = std::move(bucket);
-      so.buckets.push_back(std::move(sb));
-    }
+    so.buffer = ShuffleMapOutput(std::move(rows), *st.partitioner, R,
+                                 combine ? b.combiner.get() : nullptr,
+                                 st.group_indices);
     return so;
   };
 
-  // Merge side of the shuffle: stash the buckets into the branch state and
-  // account shuffle volume pre-combine — combine effectiveness at logical
-  // scale is modeled analytically after the map phase, because the
-  // physical sample cannot exhibit logical-scale duplicate density.
+  // Merge side of the shuffle: keep the task's buffer, hand each of its
+  // ranges to its reduce task and account shuffle volume pre-combine —
+  // combine effectiveness at logical scale is modeled analytically after
+  // the map phase, because the physical sample cannot exhibit logical-scale
+  // duplicate density.
   auto merge_shuffle = [&](size_t bi, ShuffledOutput so, double scale) {
     BranchState& st = bstate[bi];
     double scaled_records = static_cast<double>(so.out_records) * scale;
-    double scaled_bytes = static_cast<double>(so.out_bytes) * scale;
+    double scaled_bytes = static_cast<double>(so.buffer.bytes) * scale;
     df.map_output_records += static_cast<uint64_t>(scaled_records);
     df.map_output_bytes += static_cast<uint64_t>(scaled_bytes);
     st.raw_scaled_records += scaled_records;
@@ -371,15 +346,21 @@ Result<JobDataflow> JobRunner::Run(
     st.task_logical_records.push_back(scaled_records);
     st.group_hashes.insert(st.group_hashes.end(), so.group_hashes.begin(),
                            so.group_hashes.end());
-    for (ShuffleBucket& sb : so.buckets) {
-      st.bucket_scaled_bytes[sb.r] +=
-          static_cast<double>(sb.sorted_bytes) * scale;
-      st.bucket_scaled_records[sb.r] +=
-          static_cast<double>(sb.pre_records) * scale;
-      st.bucket_physical_records[sb.r] += sb.pre_records;
-      st.bucket_physical_post_records[sb.r] += sb.rows.size();
-      st.reduce_buckets[sb.r].push_back(std::move(sb.rows));
+    std::vector<Row>& rows = so.buffer.rows;
+    for (const ShuffleRange& range : so.buffer.ranges) {
+      const size_t r = static_cast<size_t>(range.partition);
+      st.bucket_scaled_bytes[r] +=
+          static_cast<double>(range.sorted_bytes) * scale;
+      st.bucket_scaled_records[r] +=
+          static_cast<double>(range.pre_records) * scale;
+      st.bucket_physical_records[r] += range.pre_records;
+      st.bucket_physical_post_records[r] += range.end - range.begin;
+      if (range.end > range.begin) {
+        st.spans[r].emplace_back(rows.data() + range.begin,
+                                 range.end - range.begin);
+      }
     }
+    if (!rows.empty()) st.buffers.push_back(std::move(rows));
   };
 
   // Task side of a branch's map output: the output partition or the
@@ -402,7 +383,7 @@ Result<JobDataflow> JobRunner::Run(
       BranchObservation& seen = (*observation)[bi];
       AddObservation(&seen, mo.observed);
       seen.map_output_records += mo.shuffled.out_records;
-      seen.map_output_bytes += mo.shuffled.out_bytes;
+      seen.map_output_bytes += mo.shuffled.buffer.bytes;
     }
     if (job.branches[bi].map_only()) {
       bstate[bi].output.Add(std::move(mo.out), scale);
@@ -865,7 +846,8 @@ Result<JobDataflow> JobRunner::Run(
   // ---- Reduce phase --------------------------------------------------------
   if (!map_only) {
     // One task per reduce partition; task r exclusively owns every branch's
-    // bucket r, so concatenating and draining its pieces is race-free.
+    // spans[r], whose rows no other task touches, and no buffer is resized
+    // during the phase, so moving its rows out is race-free.
     struct ReducePiece {
       Status status = Status::OK();
       bool had_rows = false;
@@ -887,22 +869,15 @@ Result<JobDataflow> JobRunner::Run(
         BranchState& st = bstate[bi];
         ReducePiece& piece = res.pieces[bi];
 
-        // Concatenate the map tasks' pieces in task order.
-        std::vector<std::vector<Row>>& bucket = st.reduce_buckets[ri];
+        // Move the rows out of the map tasks' spans in task order.
+        size_t total = 0;
+        for (std::span<Row> span : st.spans[ri]) total += span.size();
         std::vector<Row> rows;
-        if (bucket.size() == 1) {
-          rows = std::move(bucket.front());
-        } else {
-          size_t total = 0;
-          for (const std::vector<Row>& part : bucket) total += part.size();
-          rows.reserve(total);
-          for (std::vector<Row>& part : bucket) {
-            rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                        std::make_move_iterator(part.end()));
-          }
+        rows.reserve(total);
+        for (std::span<Row> span : st.spans[ri]) {
+          rows.insert(rows.end(), std::make_move_iterator(span.begin()),
+                      std::make_move_iterator(span.end()));
         }
-        bucket.clear();
-        bucket.shrink_to_fit();
         piece.had_rows = !rows.empty();
 
         // Merge the per-map sorted segments (modeled as one stable sort).
@@ -923,6 +898,13 @@ Result<JobDataflow> JobRunner::Run(
         piece.out = PartitionData(std::move(out.rows()));
       }
     });
+    // Every row has been moved out of the map tasks' buffers: free them.
+    for (BranchState& st : bstate) {
+      RunTasks(pool_, st.buffers.size(),
+               [&](size_t i) { st.buffers[i] = std::vector<Row>(); });
+      st.buffers = {};
+      st.spans = {};
+    }
 
     for (int r = 0; r < R; ++r) {
       ReduceTaskResult& res = reduce_results[static_cast<size_t>(r)];

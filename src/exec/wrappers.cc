@@ -157,26 +157,58 @@ void PipelineRunner::Finish() {
   for (auto& node : nodes_) node->FinishNode();
 }
 
-std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> sorted_rows,
+ShuffledRows ShuffleMapOutput(std::vector<Row> rows,
+                              const Partitioner& partitioner,
+                              int num_partitions, const CombineFn* combiner,
+                              const std::vector<size_t>& group_indices) {
+  if (rows.empty()) return {};  // many map tasks emit nothing to a branch
+  std::vector<int> partitions;
+  partitions.reserve(rows.size());
+  for (const Row& row : rows) {
+    partitions.push_back(partitioner.PartitionOf(row, num_partitions));
+  }
+  StableSortOnFields(&rows, partitioner.sort_indices(), &partitions);
+  ShuffledRows out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (out.ranges.empty() || out.ranges.back().partition != partitions[i]) {
+      out.ranges.push_back(ShuffleRange{partitions[i], i, i, 0, 0});
+    }
+    ShuffleRange& range = out.ranges.back();
+    const uint64_t bytes = rows[i].SerializedSize();
+    range.end = i + 1;
+    range.sorted_bytes += bytes;
+    range.pre_records++;
+    out.bytes += bytes;
+  }
+  out.rows = combiner != nullptr
+                 ? RunCombiner(*combiner, std::move(rows), group_indices,
+                               &out.ranges)
+                 : std::move(rows);
+  return out;
+}
+
+std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> rows,
                              const std::vector<size_t>& group_indices,
-                             double* cpu_units) {
+                             std::vector<ShuffleRange>* ranges) {
   VectorEmitter out;
   std::shared_ptr<CombineFn> instance = fn.Clone();
   std::vector<Row> group;
-  size_t i = 0;
-  while (i < sorted_rows.size()) {
-    size_t j = i + 1;
-    while (j < sorted_rows.size() &&
-           EqualOnFields(sorted_rows[i], sorted_rows[j], group_indices)) {
-      ++j;
+  for (ShuffleRange& range : *ranges) {
+    const size_t begin = out.rows().size();
+    size_t i = range.begin;
+    while (i < range.end) {
+      size_t j = i + 1;
+      while (j < range.end && EqualOnFields(rows[i], rows[j], group_indices)) {
+        ++j;
+      }
+      Row key = rows[i].Project(group_indices);
+      group.assign(std::make_move_iterator(rows.begin() + i),
+                   std::make_move_iterator(rows.begin() + j));
+      instance->Combine(key, group, &out);
+      i = j;
     }
-    Row key = sorted_rows[i].Project(group_indices);
-    group.assign(std::make_move_iterator(sorted_rows.begin() + i),
-                 std::make_move_iterator(sorted_rows.begin() + j));
-    instance->Combine(key, group, &out);
-    *cpu_units +=
-        static_cast<double>(j - i) * instance->cpu_cost_per_record();
-    i = j;
+    range.begin = begin;
+    range.end = out.rows().size();
   }
   return std::move(out.rows());
 }

@@ -84,14 +84,44 @@ class PipelineRunner : public Emitter {
   double cpu_units_ = 0.0;
 };
 
-/// Applies a combine function to a bucket of rows that is already sorted on
-/// `group_indices`: consecutive equal-key runs are each moved into one
-/// reused group vector and passed through `fn`. The bucket is taken by
-/// value because the caller replaces it with the result. Returns the
-/// combined rows (still sorted by construction of fn's contract).
-/// `cpu_units` accumulates records * fn weight.
-std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> sorted_rows,
+/// One reduce partition's rows in a map task's shuffle buffer.
+struct ShuffleRange {
+  int partition = 0;
+  size_t begin = 0;  ///< the partition's rows are [begin, end) of the buffer
+  size_t end = 0;
+  uint64_t sorted_bytes = 0;  ///< serialized bytes before the combiner
+  uint64_t pre_records = 0;   ///< records before the combiner
+};
+
+/// A map task's output for one shuffle branch, kept as a Hadoop map task
+/// keeps it: one buffer sorted on (partition, sort key) and combined
+/// partition by partition, with a table of its partitions' ranges.
+struct ShuffledRows {
+  std::vector<Row> rows;
+  /// Every partition that received a row before the combiner, ascending.
+  std::vector<ShuffleRange> ranges;
+  uint64_t bytes = 0;  ///< serialized bytes before the combiner
+};
+
+/// The task side of the shuffle. Computes each row's partition among
+/// `num_partitions`, stable-sorts `rows` on (partition, the partitioner's
+/// sort fields), reads each row's serialized size once and, when `combiner`
+/// is non-null, combines each partition's range on `group_indices`. Rows
+/// reach each partition in the order they were emitted, so a partition's
+/// range equals a stable sort of the rows bucketed to it.
+ShuffledRows ShuffleMapOutput(std::vector<Row> rows,
+                              const Partitioner& partitioner,
+                              int num_partitions, const CombineFn* combiner,
+                              const std::vector<size_t>& group_indices);
+
+/// Applies a combine function to each range of `rows`, a range being sorted
+/// on `group_indices`. One clone of `fn` serves every range: each run of
+/// rows equal on `group_indices` within a range is moved into one reused
+/// group vector and passed through it, so no run spans two ranges. Returns
+/// the ranges' output rows in range order and points each range's
+/// [begin, end) at its output rows.
+std::vector<Row> RunCombiner(const CombineFn& fn, std::vector<Row> rows,
                              const std::vector<size_t>& group_indices,
-                             double* cpu_units);
+                             std::vector<ShuffleRange>* ranges);
 
 }  // namespace stubby

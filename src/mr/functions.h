@@ -95,6 +95,11 @@ class ReduceFn {
 
 /// combine(K2, list(V2)) => list(K2,V2): map-side preaggregation. Input and
 /// output row types are identical by definition.
+///
+/// Combine must not depend on earlier calls. As in Hadoop, a combiner may
+/// run any number of times over any grouping of a key's values, and it has
+/// no Setup or Finish hook to bound a task: the executor calls one clone per
+/// map task for every (partition, key) run of the task's output.
 class CombineFn {
  public:
   virtual ~CombineFn() = default;

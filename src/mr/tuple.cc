@@ -157,10 +157,11 @@ int CompareKeys(const SortKey& a, const SortKey& b) {
 }  // namespace
 
 void StableSortOnFields(std::vector<Row>* rows,
-                        const std::vector<size_t>& indices) {
+                        const std::vector<size_t>& indices,
+                        std::vector<int>* partitions) {
   const size_t n = rows->size();
   const size_t k = indices.size();
-  if (n < 2 || k == 0) return;
+  if (n < 2 || (k == 0 && partitions == nullptr)) return;
   std::vector<SortKey> keys(n * k);
   for (size_t i = 0; i < n; ++i) {
     const Row& row = (*rows)[i];
@@ -174,11 +175,13 @@ void StableSortOnFields(std::vector<Row>* rows,
       }
     }
   }
+  const int* part = partitions != nullptr ? partitions->data() : nullptr;
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const SortKey* ka = &keys[a * k];
-    const SortKey* kb = &keys[b * k];
+    if (part != nullptr && part[a] != part[b]) return part[a] < part[b];
+    const SortKey* ka = keys.data() + a * k;
+    const SortKey* kb = keys.data() + b * k;
     for (size_t f = 0; f < k; ++f) {
       const int c = CompareKeys(ka[f], kb[f]);
       if (c != 0) return c < 0;
@@ -189,6 +192,12 @@ void StableSortOnFields(std::vector<Row>* rows,
   sorted.reserve(n);
   for (size_t i : order) sorted.push_back(std::move((*rows)[i]));
   rows->swap(sorted);
+  if (partitions != nullptr) {
+    std::vector<int> permuted;
+    permuted.reserve(n);
+    for (size_t i : order) permuted.push_back(part[i]);
+    partitions->swap(permuted);
+  }
 }
 
 bool EqualOnFields(const Row& a, const Row& b,

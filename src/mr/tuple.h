@@ -137,8 +137,13 @@ int CompareOnFields(const Row& a, const Row& b,
 /// pointer to its heap string, which stays put when rows move), a
 /// permutation of row indices is stable-sorted on those keys, and the rows
 /// are then moved into that order.
+///
+/// With `partitions` (one id per row), the id is a leading key: rows sort
+/// on (partition id, fields), and the ids are permuted along with the rows.
+/// A map task's shuffle sorts its output this way (DESIGN item 14).
 void StableSortOnFields(std::vector<Row>* rows,
-                        const std::vector<size_t>& indices);
+                        const std::vector<size_t>& indices,
+                        std::vector<int>* partitions = nullptr);
 
 /// True if rows agree on all fields at `indices`.
 bool EqualOnFields(const Row& a, const Row& b,

@@ -301,17 +301,27 @@ Value RandomSortValue(Rng* rng, int kind) {
 
 TEST(RowTest, StableSortOnFieldsMatchesStableSortWithCompareOnFields) {
   Rng rng(97);
-  for (int round = 0; round < 300; ++round) {
+  for (int round = 0; round < 600; ++round) {
     // Empty and one-row inputs first, then random sizes.
-    const size_t n = round < 2 ? static_cast<size_t>(round)
+    const size_t n = round < 4 ? static_cast<size_t>(round / 2)
                                : 2 + static_cast<size_t>(rng.NextUint64(300));
+    // Odd rounds give each row a partition id, a leading key: ids drawn
+    // from 1, 3, 16 or 204 partitions, or one id shared by every row.
+    const bool partitioned = round % 2 == 1;
+    static const uint64_t kPartitionCounts[] = {1, 3, 16, 204, 0};
+    const uint64_t num_partitions =
+        kPartitionCounts[rng.NextUint64(std::size(kPartitionCounts))];
+    const int shared_id = static_cast<int>(rng.NextUint64(204));
     // Columns 0-3 are int, double, string and mixed; column 4 is the row's
     // input position, so equal ids mean the same row (stability included).
+    // With partition ids the sort fields may be empty.
     std::vector<size_t> columns = {0, 1, 2, 3};
     rng.Shuffle(&columns);
     const std::vector<size_t> fields(
-        columns.begin(), columns.begin() + 1 + rng.NextUint64(3));
+        columns.begin(),
+        columns.begin() + (partitioned ? 0 : 1) + rng.NextUint64(3));
     std::vector<Row> rows;
+    std::vector<int> partitions;
     for (size_t i = 0; i < n; ++i) {
       std::vector<Value> values;
       for (int kind = 0; kind < 4; ++kind) {
@@ -319,18 +329,35 @@ TEST(RowTest, StableSortOnFieldsMatchesStableSortWithCompareOnFields) {
       }
       values.emplace_back(static_cast<int64_t>(i));
       rows.emplace_back(std::move(values));
+      partitions.push_back(num_partitions == 0
+                               ? shared_id
+                               : static_cast<int>(
+                                     rng.NextUint64(num_partitions)));
     }
     std::vector<Row> expected = rows;
     std::stable_sort(expected.begin(), expected.end(),
                      [&](const Row& a, const Row& b) {
+                       const int pa =
+                           partitions[static_cast<size_t>(a[4].AsInt())];
+                       const int pb =
+                           partitions[static_cast<size_t>(b[4].AsInt())];
+                       if (partitioned && pa != pb) return pa < pb;
                        return CompareOnFields(a, b, fields) < 0;
                      });
-    StableSortOnFields(&rows, fields);
+    std::vector<int> sorted_partitions = partitions;
+    StableSortOnFields(&rows, fields,
+                       partitioned ? &sorted_partitions : nullptr);
     ASSERT_EQ(rows.size(), expected.size());
+    ASSERT_EQ(sorted_partitions.size(), n);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(rows[i][4].AsInt(), expected[i][4].AsInt())
           << "round " << round << " position " << i;
       ASSERT_EQ(rows[i].ToString(), expected[i].ToString());
+      if (partitioned) {
+        ASSERT_EQ(sorted_partitions[i],
+                  partitions[static_cast<size_t>(rows[i][4].AsInt())])
+            << "round " << round << " position " << i;
+      }
     }
   }
 }
